@@ -1641,10 +1641,8 @@ def _score_range_topk(index_dir: str, lo: int, hi: int,
         # in-shard docvalue mask: the filter applies where the range's
         # attribute pages live, mirroring BM25Index.search_filtered's
         # post-accumulation semantics so merged k-lists stay identical
-        idx._dv_load()
-        try:
-            want_code = np.uint16(idx._dv_dict.index(filter_lang))
-        except ValueError:
+        want_code = idx._lang_code(filter_lang)
+        if want_code is None:
             return [[] for _ in per_query_terms]  # value not in dictionary
     all_terms = sorted({t for ts in per_query_terms for t in ts})
     post = idx.lookup(all_terms)

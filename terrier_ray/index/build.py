@@ -624,6 +624,11 @@ def build_numeric_docvalues(
     parts: list[dict] = []
 
     def _as_i64(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
+        if col.null_count:
+            # a null would reach int64 via NaN as an arbitrary value
+            raise ValueError(
+                f"numeric docvalues column {column!r} has {col.null_count} null(s)"
+            )
         t = col.type
         if pa.types.is_date32(t):
             # date32 -> int64 directly is ArrowNotImplemented on this

@@ -450,8 +450,7 @@ def _qs_score_range(index_dirs, lo, hi, plan, phrase_hits, phrase_df, k,
         fidx = idxs.get(filter_field) or idxs.setdefault(
             filter_field, BM25Index(index_dirs[filter_field])
         )
-        fidx._dv_load()
-        code = np.uint16(fidx._dv_dict.index(filter_lang))
+        code = fidx._lang_code(filter_lang)
         mask_of = lambda uniq: fidx.docvalue_codes(uniq) == code  # noqa: E731
     return _accumulate_topk(chunks_d, chunks_c, must_sets, not_sets, k, mask_of)
 
@@ -563,15 +562,8 @@ class QueryStringEngine:
         idx = self.indexes.get(self.default_field)
         if idx is None:
             idx = self.indexes[min(self.indexes)]
-        idx._dv_load()
-        if not idx._dv_parts:
-            raise ValueError(
-                "filter_lang needs the default field's index built with "
-                "docvalues=True"
-            )
-        try:
-            code = np.uint16(idx._dv_dict.index(filter_lang))
-        except ValueError:
+        code = idx._lang_code(filter_lang)
+        if code is None:
             return lambda uniq: np.zeros(len(uniq), dtype=bool)
         return lambda uniq: idx.docvalue_codes(uniq) == code
 
@@ -724,14 +716,7 @@ class QueryStringEngine:
                 if self.default_field in self.indexes
                 else min(self.indexes)
             )
-            fidx = self.indexes[filter_field]
-            fidx._dv_load()
-            if not fidx._dv_parts:
-                raise ValueError(
-                    "filter_lang needs the default field's index built "
-                    "with docvalues=True"
-                )
-            if filter_lang not in fidx._dv_dict:
+            if self.indexes[filter_field]._lang_code(filter_lang) is None:
                 return []
         index_dirs = {f: idx.index_dir for f, idx in self.indexes.items()}
         plan: list[dict] = []

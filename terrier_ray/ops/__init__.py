@@ -7,7 +7,6 @@ from terrier_ray.ops.relational import (  # noqa: F401
     broadcast_join,
     partitioned_join,
     grouped_aggregate,
-    grouped_count_distinct,
     grouped_topk,
     grouping_sets_aggregate,
     cube_aggregate,
@@ -21,14 +20,13 @@ from terrier_ray.ops.relational import (  # noqa: F401
     unpivot,
     round_columns,
 )
-from terrier_ray.ops.bloom import Bloom, bloom_prefilter, build_bloom  # noqa: F401
 from terrier_ray.ops.orderagg import (  # noqa: F401
     grouped_quantile,
     grouped_quantile_disc,
     grouped_string_agg,
 )
 from terrier_ray.ops.rangejoin import range_join  # noqa: F401
-from terrier_ray.ops.sample import bernoulli_sample, fixed_size_sample  # noqa: F401
+from terrier_ray.ops.sample import bernoulli_sample  # noqa: F401
 from terrier_ray.ops.sketch import (  # noqa: F401
     approx_percentile,
     hll_count_distinct,

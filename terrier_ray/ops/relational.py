@@ -480,24 +480,6 @@ def grouped_aggregate(
     return out
 
 
-def grouped_count_distinct(ds, keys: Sequence[str], col: str, alias: str):
-    """COUNT(DISTINCT col) GROUP BY keys — two-level exact distinct.
-
-    Reference analog: per-(group,agg) distinct filter tables
-    (compiler/operator/distinct_aggregation_util.h:22-24).
-    """
-    keys = list(keys)
-
-    # batch-level dedup → bucket shuffle on (keys, col) → exact distinct →
-    # per-key count (bucketed merge, like grouped_aggregate)
-    dd = distinct(ds, keys + [col])
-    dd = dd.map_batches(
-        lambda b: b.select(keys).group_by(keys).aggregate([([], "count_all")]).rename_columns(keys + ["__c"]),
-        batch_format="pyarrow",
-    )
-    return grouped_aggregate(dd, keys, [("sum", "__c", alias)])
-
-
 def grouping_sets_aggregate(
     ds,
     keys: Sequence[str],

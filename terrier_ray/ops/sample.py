@@ -21,7 +21,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from terrier_ray.ops.relational import filter_batches, topk
+from terrier_ray.ops.relational import filter_batches
 
 #: Knuth multiplicative-hash constant; the pre-mod keeps the int64 product
 #: overflow-free for any BIGINT key (DuckDB raises on overflow, Arrow wraps —
@@ -47,21 +47,6 @@ def bernoulli_sample(ds, key_col: str, permil: int):
     return filter_batches(
         ds, lambda b: pc.less(_rank(b.column(key_col), 1000), permil)
     )
-
-
-def fixed_size_sample(ds, key_col: str, n: int, rank_alias: str = "__srank"):
-    """Exact-n uniform-without-replacement sample: global top-n by hash rank
-    (per-block bounded heaps + driver merge — never a full sort).
-    SQL mirror: ``ORDER BY ((key % 1000003) * 2654435761) % 1000000007, key
-    LIMIT n``.  Returns a pa.Table including the rank column."""
-    big = 1_000_000_007
-
-    def tag(b: pa.Table) -> pa.Table:
-        return b.append_column(rank_alias, _rank(b.column(key_col), big))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-    out = topk(tagged, [rank_alias, key_col], k=n, descending=[False, False])
-    return out.drop_columns([rank_alias])
 
 
 def mixture_sample(

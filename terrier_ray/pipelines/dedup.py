@@ -1,11 +1,11 @@
 """Deduplication pipelines over the ``documents`` table.
 
-- exact_dedup:      content-hash → groupby(hash) → keep min doc_id
 - minhash_lsh:      shingle → minhash → band signatures → bucket groupby →
                     candidate pairs → Jaccard verify
 - simhash:          64-bit simhash + hamming-bucket near-dup pairs
 - ngram_jaccard:    exact n-gram Jaccard over candidate pairs
-- (embedding near-dup lives in pipelines/similarity.py)
+- (embedding near-dup lives in pipelines/similarity.py; exact dedup is
+  its oracle SQL text run through ``sql.sql``)
 
 All signature computation is per-batch vectorized numpy inside map_batches;
 the only shuffles are the (hash/band/bucket) groupbys — the same
@@ -22,9 +22,6 @@ import pyarrow.compute as pc
 
 from terrier_ray.ops.relational import grouped_aggregate, read_table
 from terrier_ray.ops.taskstate import task_fn
-
-_MERSENNE = (1 << 61) - 1
-
 
 def _text_hash(texts: list[str]) -> np.ndarray:
     out = np.empty(len(texts), dtype=np.int64)
@@ -74,36 +71,6 @@ def heavy_hitter_terms(sf_dir: str):
         partial_counts, batch_format="pyarrow", zero_copy_batch=True
     )
     return mg_heavy_hitters(partials, "token", k=10, capacity_factor=64, weight_col="cnt")
-
-
-def exact_dedup(sf_dir: str):
-    """Exact dedup: (min doc_id, copy count) per distinct text.
-
-    Hash-partitioned: the shuffle key is a 63-bit content hash, never the
-    text itself, so only 16 bytes/row move through the exchange.  The
-    grouping key is ~one-distinct-per-row, the exact cardinality regime
-    where Ray's native sort-shuffle groupby degrades (cost grows with NDV,
-    measured ~22x in MICROBENCH.json) — so route through grouped_aggregate's
-    bucket shuffle: hash(__h) % P int key, one vectorized Arrow group_by per
-    bucket.
-    """
-    from terrier_ray.ops.relational import grouped_aggregate
-
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def add_hash(batch: pa.Table) -> pa.Table:
-        h = _text_hash(batch.column("text").to_pylist())
-        return pa.table(
-            {"doc_id": batch.column("doc_id"), "__h": pa.array(h)}
-        )
-
-    hashed = docs.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
-    out = grouped_aggregate(
-        hashed,
-        ["__h"],
-        [("min", "doc_id", "doc_id"), ("count", "doc_id", "n_copies")],
-    )
-    return out.drop_columns(["__h"])
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +739,8 @@ def segment_dedup(sf_dir: str, width: int = 5, num_partitions: int = 32):
     Better"): their suffix array finds arbitrary-offset duplicate spans
     with a global suffix sort; a fixed window finds window-aligned spans
     with two bucket exchanges and no global sort.  Reference analog: the
-    same keep-first discipline as ``exact_dedup`` above, pushed below
-    document granularity.
+    same keep-first discipline as ``exact_dedup`` (min doc_id per distinct
+    text), pushed below document granularity.
 
     Scale shape (100 TB): exactly two text-bearing all-to-all exchanges.
     (1) Segments bucket-shuffle on hash(segment) % P, so ALL occurrences

@@ -1,5 +1,10 @@
-"""Additional operator-parity queries: math/cast scalar functions, IN/BETWEEN
-predicates, and the sessionization window over the events stream table.
+"""Additional operator-parity queries: math scalar functions, stream-shaped
+windows over the events table (sessionize, hopping, watermark, funnel, as-of),
+range join, UNPIVOT and a keyed point lookup.  Their oracle texts use forms
+the SQL front-end does not parse, except ``customer_point_lookup``, whose
+point is the access path (zone-map point lookup over a clustered layout)
+rather than the query; the cast, IN/BETWEEN, cross-join, histogram, pivot
+and variance queries run their oracle text through ``sql.sql``.
 
 Reference analogs: math/trig builtins
 (/root/reference/src/include/execution/ast/builtins.h:286-310,
@@ -62,41 +67,6 @@ def math_functions(sf_dir: str):
     )
 
 
-def cast_functions(sf_dir: str):
-    """CAST coverage: int→string, float→int (truncation), string compare."""
-    orders = read_table(
-        sf_dir, "orders", columns=["o_orderkey", "o_totalprice", "o_orderstatus"]
-    )
-    return with_columns(
-        orders,
-        {
-            "key_str": lambda b: pc.cast(b.column("o_orderkey"), pa.string()),
-            "price_int": lambda b: pc.cast(
-                pc.floor(b.column("o_totalprice")), pa.int64()
-            ),
-            "is_open": lambda b: pc.equal(b.column("o_orderstatus"), "O"),
-        },
-    ).select_columns(["o_orderkey", "key_str", "price_int", "is_open"])
-
-
-def in_between_filter(sf_dir: str):
-    """IN-list + BETWEEN predicates."""
-    part = read_table(
-        sf_dir, "part", columns=["p_partkey", "p_brand", "p_size", "p_retailprice"]
-    )
-    brands = pa.array(["Brand#1", "Brand#2", "Brand#3"])
-    return filter_batches(
-        part,
-        lambda b: pc.and_(
-            pc.is_in(b.column("p_brand"), value_set=brands),
-            pc.and_(
-                pc.greater_equal(b.column("p_size"), 10),
-                pc.less_equal(b.column("p_size"), 40),
-            ),
-        ),
-    )
-
-
 SESSION_GAP_US = 30 * 60 * 1_000_000  # 30 minutes
 
 
@@ -134,51 +104,6 @@ def sessionize(sf_dir: str):
         )
 
     return ev.groupby("ubucket").map_groups(sessions, batch_format="pyarrow")
-
-
-def events_type_pivot(sf_dir: str):
-    """Grouped counts per event type (stream-table rollup)."""
-    ev = read_table(sf_dir, "events", columns=["event_type", "user_id"])
-    return grouped_aggregate(
-        ev, ["event_type"], [("count", "user_id", "n_events")]
-    )
-
-
-def cross_join_mismatched(sf_dir: str):
-    """Nested-loop/cross join analog: broadcast the tiny side, emit the
-    filtered cross product per batch (region × nation, non-matching pairs)."""
-    import pyarrow.parquet as pq
-
-    region = pq.read_table(f"{sf_dir.rstrip('/')}/region.parquet")
-    nation = read_table(sf_dir, "nation", columns=["n_name", "n_regionkey"])
-
-    def cross(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        r = region.num_rows
-        left = batch.take(pa.array(np.repeat(np.arange(n), r)))
-        right_idx = np.tile(np.arange(r), n)
-        out = left
-        for name in region.column_names:
-            out = out.append_column(name, region.column(name).take(pa.array(right_idx)))
-        return out.filter(
-            pc.not_equal(out.column("n_regionkey"), out.column("r_regionkey"))
-        ).select(["r_name", "n_name"])
-
-    return nation.map_batches(cross, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def price_histogram(sf_dir: str):
-    """Equi-width histogram of order totals (the ANALYZE histogram analog)."""
-    orders = read_table(sf_dir, "orders", columns=["o_totalprice"])
-    orders = with_columns(
-        orders,
-        {
-            "bucket": lambda b: pc.cast(
-                pc.floor(pc.divide(b.column("o_totalprice"), 50000.0)), pa.int64()
-            )
-        },
-    )
-    return grouped_aggregate(orders, ["bucket"], [("count", "o_totalprice", "n")])
 
 
 def asof_purchase_view(sf_dir: str):
@@ -367,49 +292,6 @@ def events_watermark(sf_dir: str):
     return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def discount_variance(sf_dir: str):
-    """Exact grouped VAR_POP / STDDEV_POP of l_discount per return flag via
-    integer moments: with d_c = round(discount*100) (≤10), Σd_c and Σd_c²
-    are exact int64 in any order, so var = (n·Σx² − (Σx)²)/n²/10⁴ is ONE
-    deterministic float expression mirrored verbatim in SQL (sqrt is
-    IEEE-correctly-rounded → stddev matches bit-for-bit too)."""
-    line = read_table(sf_dir, "lineitem", columns=["l_returnflag", "l_discount"])
-    line = with_columns(
-        line,
-        {
-            "d_c": lambda b: scaled_int(b.column("l_discount"), 100),
-        },
-    )
-    line = with_columns(
-        line, {"d2": lambda b: pc.multiply(b.column("d_c"), b.column("d_c"))}
-    )
-    agg = grouped_aggregate(
-        line,
-        ["l_returnflag"],
-        [("sum", "d_c", "s1"), ("sum", "d2", "s2"), ("count", "d_c", "n")],
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        n = pc.cast(b.column("n"), pa.float64())
-        num = pc.cast(
-            pc.subtract(
-                pc.multiply(b.column("n"), b.column("s2")),
-                pc.multiply(b.column("s1"), b.column("s1")),
-            ),
-            pa.float64(),
-        )
-        var = pc.divide(pc.divide(num, pc.multiply(n, n)), 10000.0)
-        return pa.table(
-            {
-                "l_returnflag": b.column("l_returnflag"),
-                "var_discount": var,
-                "stddev_discount": pc.sqrt(var),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def _sliding_windows():
     """29 OVERLAPPING 180-day windows at 90-day stride over the order-date
     domain (deterministic; each order falls in ~2 windows — an equi-join
@@ -557,17 +439,11 @@ QUERIES = {
     "range_join_order_windows": range_join_order_windows,
     "unpivot_nation_counts": unpivot_nation_counts,
     "funnel_click_purchase": funnel_click_purchase,
-    "discount_variance": discount_variance,
     "events_watermark": events_watermark,
     "events_hopping": events_hopping,
     "asof_purchase_view": asof_purchase_view,
-    "cross_join_mismatched": cross_join_mismatched,
-    "price_histogram": price_histogram,
     "math_functions": math_functions,
-    "cast_functions": cast_functions,
-    "in_between_filter": in_between_filter,
     "sessionize": sessionize,
-    "events_type_pivot": events_type_pivot,
 }
 
 SQL = {

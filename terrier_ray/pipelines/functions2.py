@@ -1,30 +1,22 @@
 """Extended scalar-function parity: strings, date parts, trig/math, NULL
-handling, scalar subquery, INTERSECT/EXCEPT, LIMIT+OFFSET.
+handling, scalar subquery, INTERSECT/EXCEPT, LIMIT+OFFSET, each
+DuckDB-oracled.
 
 Mirrors the reference's SQL-visible builtin surface
-(/root/reference/src/include/execution/sql/functions/string_functions.h:17-115,
-date_time_functions.h:10-110, ast/builtins.h:286-310) with pyarrow.compute
-kernels, each DuckDB-oracled.  Trig outputs are pinned with the
-integer-scaling round (libm last-ulp differences across engines).
+(src/include/execution/sql/functions/string_functions.h:17-115,
+date_time_functions.h:10-110, ast/builtins.h:286-310).  The string and
+date-part queries the SQL front-end cannot parse run as pyarrow.compute
+pipelines here; the rest run their oracle text through ``sql.sql``.  Trig
+outputs are pinned with the integer-scaling round (libm last-ulp
+differences across engines).
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
-from terrier_ray.ops.relational import (
-    distinct,
-    filter_batches,
-    partitioned_join,
-    read_table,
-    rescale_round,
-    scaled_int,
-    setop_all,
-    topk,
-    with_columns,
-)
+from terrier_ray.ops.relational import read_table, with_columns
 
 
 def string_functions2(sf_dir: str):
@@ -90,136 +82,9 @@ def date_functions2(sf_dir: str):
     )
 
 
-def trig_functions(sf_dir: str):
-    """sin/cos/tan/atan2/exp/log10/ceil/floor/sign (rounded: libm ulp drift)."""
-    line = read_table(sf_dir, "lineitem", columns=["l_linenumber", "l_orderkey", "l_discount", "l_tax"])
-    return with_columns(
-        line,
-        {
-            "s": lambda b: rescale_round(pc.sin(b.column("l_discount")), 9),
-            "c": lambda b: rescale_round(pc.cos(b.column("l_discount")), 9),
-            "t": lambda b: rescale_round(pc.tan(b.column("l_discount")), 9),
-            "a2": lambda b: rescale_round(
-                pc.atan2(b.column("l_discount"), pc.add(b.column("l_tax"), 1.0)), 9
-            ),
-            "e": lambda b: rescale_round(pc.exp(b.column("l_discount")), 9),
-            "l10": lambda b: rescale_round(
-                pc.log10(pc.add(b.column("l_discount"), 1.0)), 9
-            ),
-            "ce": lambda b: pc.ceil(pc.multiply(b.column("l_discount"), 10.0)),
-            "fl": lambda b: pc.floor(pc.multiply(b.column("l_discount"), 10.0)),
-            "sg": lambda b: pc.cast(
-                pc.sign(pc.subtract(b.column("l_discount"), 0.05)), pa.float64()
-            ),
-        },
-    ).select_columns(
-        ["l_orderkey", "l_linenumber", "s", "c", "t", "a2", "e", "l10", "ce", "fl", "sg"]
-    )
-
-
-def null_handling(sf_dir: str):
-    """NULLIF / IS NULL / COALESCE (data has no nulls; NULLIF makes them)."""
-    line = read_table(
-        sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber", "l_discount"]
-    )
-
-    def nullif_zero(b: pa.Table) -> pa.Array:
-        return pc.if_else(
-            pc.equal(b.column("l_discount"), 0.0),
-            pa.scalar(None, type=pa.float64()),
-            b.column("l_discount"),
-        )
-
-    return with_columns(
-        line,
-        {
-            "disc_or_null": nullif_zero,
-            "is_free": lambda b: pc.is_null(nullif_zero(b)),
-            "disc_filled": lambda b: pc.coalesce(
-                nullif_zero(b), pa.scalar(-1.0, type=pa.float64())
-            ),
-        },
-    ).select_columns(
-        ["l_orderkey", "l_linenumber", "disc_or_null", "is_free", "disc_filled"]
-    )
-
-
-def scalar_subquery(sf_dir: str):
-    """parts priced above the average (scalar subquery → broadcast constant)."""
-    cents = pq.read_table(
-        f"{sf_dir.rstrip('/')}/part.parquet", columns=["p_retailprice"]
-    )
-    ci = scaled_int(cents.column("p_retailprice").combine_chunks(), 100)
-    avg = (int(pc.sum(ci).as_py()) / 100.0) / cents.num_rows
-    part = read_table(sf_dir, "part", columns=["p_partkey", "p_retailprice"])
-    return filter_batches(
-        part, lambda b: pc.greater(b.column("p_retailprice"), avg)
-    )
-
-
-def intersect_nations(sf_dir: str):
-    """INTERSECT via distinct + co-partitioned semi join (reference plans
-    SETOP but has no translator — we execute it)."""
-    c = distinct(read_table(sf_dir, "customer", columns=["c_nationkey"]), ["c_nationkey"])
-    s = distinct(read_table(sf_dir, "supplier", columns=["s_nationkey"]), ["s_nationkey"])
-    out = partitioned_join(
-        c, s, on=["c_nationkey"], right_on=["s_nationkey"],
-        join_type="left_semi", num_partitions=4,
-    )
-    return out
-
-
-def except_sizes(sf_dir: str):
-    """EXCEPT via distinct + co-partitioned anti join (part sizes not used
-    as nation keys — integer-domain set difference, non-empty at every sf)."""
-    p = distinct(read_table(sf_dir, "part", columns=["p_size"]), ["p_size"])
-    c = distinct(read_table(sf_dir, "customer", columns=["c_nationkey"]), ["c_nationkey"])
-    return partitioned_join(
-        p, c, on=["p_size"], right_on=["c_nationkey"],
-        join_type="left_anti", num_partitions=4,
-    )
-
-
-def intersect_all_nations(sf_dir: str):
-    """INTERSECT ALL: per-nation customer rows capped at the supplier
-    multiplicity (min(m, n) copies — bag semantics the reference plans as
-    SETOP INTERSECT_ALL but cannot execute)."""
-    c = read_table(sf_dir, "customer", columns=["c_nationkey"])
-    s = read_table(sf_dir, "supplier", columns=["s_nationkey"])
-    return setop_all(
-        c, s, ["c_nationkey"], right_columns=["s_nationkey"], mode="intersect"
-    )
-
-
-def except_all_sizes(sf_dir: str):
-    """EXCEPT ALL: part-size rows minus nation-key multiplicities
-    (max(m - n, 0) copies) — exercises both full elimination (small sizes
-    collide with dense nation keys) and pass-through (sizes > 24)."""
-    p = read_table(sf_dir, "part", columns=["p_size"])
-    c = read_table(sf_dir, "customer", columns=["c_nationkey"])
-    return setop_all(
-        p, c, ["p_size"], right_columns=["c_nationkey"], mode="except"
-    )
-
-
-def limit_offset(sf_dir: str):
-    """ORDER BY + LIMIT + OFFSET: top-k to offset+limit then slice."""
-    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
-    top = topk(orders, ["o_totalprice", "o_orderkey"], k=20, descending=[True, False])
-    return top.slice(5, 15)
-
-
 QUERIES = {
     "string_functions2": string_functions2,
     "date_functions2": date_functions2,
-    "trig_functions": trig_functions,
-    "null_handling": null_handling,
-    "scalar_subquery": scalar_subquery,
-    "intersect_nations": intersect_nations,
-    "except_sizes": except_sizes,
-    "intersect_all_nations": intersect_all_nations,
-    "except_all_sizes": except_all_sizes,
-    "limit_offset": limit_offset,
 }
 
 SQL = {

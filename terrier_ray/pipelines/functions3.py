@@ -68,33 +68,6 @@ def string_functions3(sf_dir: str):
     )
 
 
-def date_functions3(sf_dir: str):
-    """second / millisecond / microsecond parts, Postgres-composite style."""
-    ev = read_table(sf_dir, "events", columns=["event_id", "ts"])
-
-    def parts(b: pa.Table):
-        ts = b.column("ts")
-        sec = pc.cast(pc.second(ts), pa.int64())
-        ms = pc.cast(pc.millisecond(ts), pa.int64())
-        us = pc.cast(pc.microsecond(ts), pa.int64())
-        return sec, ms, us
-
-    return with_columns(
-        ev,
-        {
-            "sec": lambda b: parts(b)[0],
-            "ms_pg": lambda b: (
-                lambda s, m, u: pc.add(pc.multiply(s, 1000), m)
-            )(*parts(b)),
-            "us_pg": lambda b: (
-                lambda s, m, u: pc.add(
-                    pc.multiply(s, 1_000_000), pc.add(pc.multiply(m, 1000), u)
-                )
-            )(*parts(b)),
-        },
-    ).select_columns(["event_id", "sec", "ms_pg", "us_pg"])
-
-
 def math_functions3(sf_dir: str):
     """cot / trunc / log2 / cbrt / asin / acos (libm outputs pinned)."""
     line = read_table(
@@ -157,6 +130,5 @@ SQL = {
 
 QUERIES = {
     "string_functions3": string_functions3,
-    "date_functions3": date_functions3,
     "math_functions3": math_functions3,
 }

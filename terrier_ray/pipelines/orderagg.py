@@ -1,5 +1,7 @@
 """Order-statistics aggregate queries (DuckDB-oracled): exact grouped
-median / percentile and ordered STRING_AGG, via ``ops.orderagg``."""
+median / percentile and ordered STRING_AGG, via ``ops.orderagg``.  The
+MEDIAN / QUANTILE_CONT / ordered STRING_AGG oracle texts do not parse in
+the SQL front-end; PERCENTILE_DISC and DENSE_RANK run through ``sql.sql``."""
 
 from __future__ import annotations
 
@@ -8,7 +10,6 @@ import pyarrow.compute as pc
 
 from terrier_ray.ops.orderagg import grouped_quantile, grouped_string_agg
 from terrier_ray.ops.relational import read_table, scaled_int, with_columns
-from terrier_ray.ops.window import windowed
 
 
 def _orders_cents(sf_dir: str):
@@ -52,41 +53,11 @@ def p90_order_value(sf_dir: str):
     )
 
 
-def p75_disc_order_value(sf_dir: str):
-    """Exact PERCENTILE_DISC(0.75) per priority — an actual group member
-    (no interpolation, so raw doubles hash-match without scaling)."""
-    from terrier_ray.ops.orderagg import grouped_quantile_disc
-
-    orders = read_table(sf_dir, "orders", columns=["o_orderpriority", "o_totalprice"])
-    return grouped_quantile_disc(
-        orders, ["o_orderpriority"], "o_totalprice", 0.75, "p75_price"
-    )
-
-
 def nations_csv(sf_dir: str):
     """STRING_AGG(n_name, ',' ORDER BY n_name) per region."""
     nation = read_table(sf_dir, "nation", columns=["n_regionkey", "n_name"])
     return grouped_string_agg(
         nation, ["n_regionkey"], "n_name", ",", "names", num_partitions=4
-    )
-
-
-def window_dense_rank(sf_dir: str):
-    """DENSE_RANK over tied order dates within each priority class."""
-    orders = read_table(
-        sf_dir, "orders", columns=["o_orderkey", "o_orderpriority", "o_orderdate"]
-    )
-    w = windowed(
-        orders,
-        ["o_orderpriority"],
-        ["o_orderdate"],
-        [("dense_rank", None, "dr")],
-        num_partitions=8,
-    )
-    return w.map_batches(
-        lambda b: b.select(["o_orderkey", "o_orderpriority", "dr"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
 
 
@@ -149,31 +120,9 @@ SQL = {
     """,
 }
 
-def sql_percentile_within_group(sf_dir: str):
-    """PERCENTILE_CONT / PERCENTILE_DISC ... WITHIN GROUP (ORDER BY ...)
-    as SQL TEXT — lowers to ONE grouped_quantiles exchange; oracle runs
-    the identical text."""
-    from terrier_ray.sql import sql
-
-    return sql("""
-        SELECT o_orderpriority,
-               PERCENTILE_CONT(0.5) WITHIN GROUP (ORDER BY tp_c) / 100.0
-                   AS median_price,
-               PERCENTILE_CONT(0.9) WITHIN GROUP (ORDER BY tp_c) AS p90_c,
-               PERCENTILE_DISC(0.75) WITHIN GROUP (ORDER BY tp_c) AS p75_c
-        FROM (SELECT o_orderpriority,
-                     CAST(ROUND(o_totalprice * 100, 0) AS BIGINT) AS tp_c
-              FROM orders) t
-        GROUP BY o_orderpriority
-""", sf_dir)
-
-
 QUERIES = {
-    "sql_percentile_within_group": sql_percentile_within_group,
     "median_order_value": median_order_value,
     "p90_order_value": p90_order_value,
     "nations_csv": nations_csv,
-    "window_dense_rank": window_dense_rank,
     "approx_percentiles_order_value": approx_percentiles_order_value,
-    "p75_disc_order_value": p75_disc_order_value,
 }

@@ -1,58 +1,14 @@
-"""Sampling + bloom-join query suite (DuckDB-oracled where expressible).
+"""Sampling query suite (DuckDB-oracled where expressible).
 
-- deterministic Bernoulli / fixed-n samples (`ops/sample.py`) — the SQL
-  oracle runs the identical modular-hash arithmetic;
-- bloom-prefiltered semi join (`ops/bloom.py`) — the bloom only PRE-cuts
-  the probe side (false positives removed by the exact semi join), so the
-  oracle is the plain EXISTS query.
+Deterministic per-source mixture, stratified and budget-packing samples
+(`ops/sample.py`, `ops/packing.py`); each SQL oracle runs the identical
+modular-hash arithmetic.  The Bernoulli, fixed-n and bloom semi-join
+queries run their oracle text through ``sql.sql``.
 """
 
 from __future__ import annotations
 
-import pyarrow.dataset as pads
-
-from terrier_ray.ops.bloom import bloom_prefilter, build_bloom
-from terrier_ray.ops.relational import partitioned_join, read_table
-from terrier_ray.ops.sample import bernoulli_sample, fixed_size_sample
-
-
-def sample_bernoulli_customers(sf_dir: str, permil: int = 200):
-    """~20% held-out split of customers, decided per row by key hash."""
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    return bernoulli_sample(cust, "c_custkey", permil)
-
-
-def sample_fixed_orders(sf_dir: str, n: int = 100):
-    """Exactly-n uniform order sample (global top-n by hash rank)."""
-    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
-    return fixed_size_sample(orders, "o_orderkey", n)
-
-
-def bloom_semi_join_urgent(sf_dir: str, num_bits: int = 1 << 16):
-    """EXISTS semi join with a bloom pre-filter on the probe side: build the
-    bitmap from URGENT orders' custkeys (distributed partials, OR-merged,
-    broadcast in the task closure), cut the customer scan, then the exact
-    co-partitioned left_semi removes bloom false positives."""
-    urgent = read_table(
-        sf_dir,
-        "orders",
-        columns=["o_custkey", "o_orderpriority"],
-        filter=(pads.field("o_orderpriority") == "1-URGENT"),
-    ).select_columns(["o_custkey"])
-    # consumed twice (bloom build + join probe): materialize once so the
-    # scan+filter lineage doesn't re-execute (CLAUDE.md dup-stream rule)
-    urgent = urgent.materialize()
-    bloom = build_bloom(urgent, "o_custkey", num_bits=num_bits, k=4)
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    cand = bloom_prefilter(cust, "c_custkey", bloom)
-    return partitioned_join(
-        cand,
-        urgent,
-        on=["c_custkey"],
-        right_on=["o_custkey"],
-        join_type="left_semi",
-        num_partitions=4,
-    )
+from terrier_ray.ops.relational import read_table
 
 
 def mixture_sample_documents(sf_dir: str):
@@ -131,7 +87,4 @@ QUERIES = {
     "stratified_sample_documents": stratified_sample_documents,
     "mixture_sample_documents": mixture_sample_documents,
     "pack_documents": pack_documents,
-    "sample_bernoulli_customers": sample_bernoulli_customers,
-    "sample_fixed_orders": sample_fixed_orders,
-    "bloom_semi_join_urgent": bloom_semi_join_urgent,
 }

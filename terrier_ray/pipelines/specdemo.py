@@ -1,9 +1,10 @@
-"""A query written ONLY as a declarative spec (terrier_ray.api), proving the
-user-extension surface executes the same operator layer end-to-end."""
+"""A query written as a declarative spec (terrier_ray.api) and as SQL text.
+
+``SPEC`` is the hand-written spec the API tests build; the driver entry
+runs the oracle text through ``sql.sql``, which lowers onto the same verbs.
+"""
 
 from __future__ import annotations
-
-from terrier_ray.api import build
 
 #: big-ticket order count per customer nation — filter → broadcast join →
 #: grouped aggregate, all as data
@@ -33,10 +34,6 @@ SPEC = {
 }
 
 
-def spec_big_orders_by_nation(sf_dir: str):
-    return build(SPEC, sf_dir)
-
-
 SQL = {
     "spec_big_orders_by_nation": """
         SELECT c_nationkey, COUNT(o_orderkey) AS n_big
@@ -46,4 +43,3 @@ SQL = {
     """,
 }
 
-QUERIES = {"spec_big_orders_by_nation": spec_big_orders_by_nation}

@@ -76,31 +76,6 @@ def json_extract_props(sf_dir: str):
     return ev.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def docs_by_lang(sf_dir: str):
-    """Grouped corpus stats by language (SQL-oracled)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from terrier_ray.ops.relational import rescale_round
-
-    docs = read_table(sf_dir, "documents", columns=["lang", "n_chars"])
-    out = grouped_aggregate(
-        docs,
-        ["lang"],
-        [("count", "n_chars", "n_docs"), ("sum", "n_chars", "total_chars"),
-         ("mean", "n_chars", "avg_chars")],
-    )
-
-    def fin(b: pa.Table) -> pa.Table:
-        return b.set_column(
-            b.column_names.index("avg_chars"),
-            "avg_chars",
-            rescale_round(b.column("avg_chars"), 4),
-        )
-
-    return out.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def term_doc_frequency(sf_dir: str, k: int = 20):
     """Top-k tokens by document frequency: per-batch distinct (doc, token)
     pairs (numpy unique — one pass, no Python token loop), map-side partial

@@ -1,6 +1,6 @@
 """Second TPC-H-style query batch: the remaining queries of the reference's
 hand-built workload (Q1,Q4,Q5,Q6,Q7,Q11,Q16,Q18,Q19 per
-/root/reference/benchmark/runner/tpch_runner.cpp:13-27 and
+reference benchmark/runner/tpch_runner.cpp:13-27 and
 test/test_util/tpch/tpch_query.cpp) that are expressible over the driver's
 testdata tables, plus Q10.
 
@@ -17,389 +17,12 @@ has no shipmode/commitdate/receiptdate; part has no container):
 - Q19 keeps its disjunctive-predicate join shape with (brand, size, quantity)
   range conjuncts in place of the container/shipmode terms.
 
-Float determinism: the integer-scaling recipe from tpch.py (see its module
-docstring) is mirrored verbatim in every SQL oracle.
+Each query is its oracle SQL string, run through the SQL front-end by
+``queries()``.  Float determinism: the integer-scaling recipe from tpch.py
+(see its module docstring) is written verbatim in every string.
 """
 
 from __future__ import annotations
-
-import pyarrow as pa
-import pyarrow.compute as pc
-import pyarrow.dataset as pads
-
-from terrier_ray.ops.relational import (
-    rollup_aggregate,
-    broadcast_join,
-    cube_aggregate,
-    filter_batches,
-    global_aggregate,
-    grouped_aggregate,
-    grouped_count_distinct,
-    partitioned_join,
-    read_table,
-    scaled_int,
-    topk,
-    unscale,
-    with_columns,
-)
-from terrier_ray.pipelines.tpch import _rev_cents, _small, _ts, _unscale_cols
-
-
-def q7_volume_shipping(sf_dir: str):
-    """TPC-H Q7: two-nation volume shipping — supplier/customer nation pair
-    filter, 4-way join, revenue by (supp_nation, cust_nation, year).
-
-    Plan: small sides (supplier x nation, customer x nation) are pre-joined
-    and pair-filtered driver-side, broadcast into the lineitem/orders scans
-    (ray.put once via broadcast_join); the one large-large join
-    (lineitem x orders) is the partitioned cogroup shuffle.
-    """
-    n1, n2 = "NATION_3", "NATION_8"  # both have suppliers at every test SF
-    nation = _small(sf_dir, "nation", ["n_nationkey", "n_name"])
-
-    supp = _small(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).join(
-        nation, keys=["s_nationkey"], right_keys=["n_nationkey"]
-    )
-    supp = supp.filter(pc.is_in(supp.column("n_name"), pa.array([n1, n2])))
-    supp = supp.select(["s_suppkey", "n_name"]).rename_columns(
-        ["s_suppkey", "supp_nation"]
-    )
-
-    cust = _small(sf_dir, "customer", ["c_custkey", "c_nationkey"]).join(
-        nation, keys=["c_nationkey"], right_keys=["n_nationkey"]
-    )
-    cust = cust.filter(pc.is_in(cust.column("n_name"), pa.array([n1, n2])))
-    cust = cust.select(["c_custkey", "n_name"]).rename_columns(
-        ["c_custkey", "cust_nation"]
-    )
-
-    line = read_table(
-        sf_dir,
-        "lineitem",
-        columns=[
-            "l_orderkey",
-            "l_suppkey",
-            "l_extendedprice",
-            "l_discount",
-            "l_shipdate",
-        ],
-        filter=(
-            (pads.field("l_shipdate") >= _ts("1996-01-01"))
-            & (pads.field("l_shipdate") <= _ts("1997-12-31"))
-        ),
-    )
-    line = broadcast_join(line, supp, keys=["l_suppkey"], right_keys=["s_suppkey"])
-
-    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    orders = broadcast_join(orders, cust, keys=["o_custkey"], right_keys=["c_custkey"])
-
-    j = partitioned_join(
-        line, orders, on=["l_orderkey"], right_on=["o_orderkey"], num_partitions=8
-    )
-    # both nations are in the pair set; keep only cross-nation flows
-    j = filter_batches(
-        j,
-        lambda b: pc.not_equal(b.column("supp_nation"), b.column("cust_nation")),
-    )
-    j = with_columns(
-        j,
-        {
-            "l_year": lambda b: pc.year(b.column("l_shipdate")),
-            "rev_c": _rev_cents,
-        },
-    )
-    out = grouped_aggregate(
-        j, ["supp_nation", "cust_nation", "l_year"], [("sum", "rev_c", "revenue")]
-    )
-    return _unscale_cols(out, {"revenue": 100})
-
-
-def q10_returned_items(sf_dir: str):
-    """TPC-H Q10: returned-item revenue per customer, top 20.
-
-    lineitem(R-flag) x orders(quarter) is the shuffle join; customer+nation
-    decorate the 20 survivors driver-side (join AFTER the top-k, so only 20
-    rows ever touch the dimension tables)."""
-    orders = read_table(
-        sf_dir,
-        "orders",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        filter=(
-            (pads.field("o_orderdate") >= _ts("1996-10-01"))
-            & (pads.field("o_orderdate") < _ts("1997-01-01"))
-        ),
-    )
-    line = read_table(
-        sf_dir,
-        "lineitem",
-        columns=["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
-        filter=(pads.field("l_returnflag") == "R"),
-    )
-    j = partitioned_join(
-        line, orders, on=["l_orderkey"], right_on=["o_orderkey"], num_partitions=8
-    )
-    j = with_columns(j, {"rev_c": _rev_cents})
-    per_cust = grouped_aggregate(j, ["o_custkey"], [("sum", "rev_c", "rev_c")])
-    top = topk(per_cust, ["rev_c", "o_custkey"], 20, descending=[True, False])
-
-    cust = _small(
-        sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal", "c_nationkey"]
-    )
-    nation = _small(sf_dir, "nation", ["n_nationkey", "n_name"])
-    out = top.join(cust, keys=["o_custkey"], right_keys=["c_custkey"]).join(
-        nation, keys=["c_nationkey"], right_keys=["n_nationkey"]
-    )
-    return pa.table(
-        {
-            "c_custkey": out.column("o_custkey"),
-            "c_name": out.column("c_name"),
-            "revenue": unscale(out.column("rev_c"), 100),
-            "c_acctbal": out.column("c_acctbal"),
-            "n_name": out.column("n_name"),
-        }
-    )
-
-
-def q11_important_customers(sf_dir: str):
-    """TPC-H Q11 shape (grouped SUM + HAVING > scalar-subquery fraction of
-    the global SUM) over orders value per customer (no partsupp table).
-
-    The global total is ONE extra streaming aggregate whose scalar result is
-    closed over by the filter stage — the distributed analog of the
-    uncorrelated scalar subquery."""
-    orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    orders = with_columns(
-        orders, {"tp_c": lambda b: scaled_int(b.column("o_totalprice"), 100)}
-    )
-    # one scan: group first, then the global total is a cheap re-aggregate of
-    # the (one-row-per-customer) grouped result
-    per_cust = grouped_aggregate(
-        orders, ["o_custkey"], [("sum", "tp_c", "val_c")]
-    ).materialize()
-    total_c = int(per_cust.sum("val_c"))
-    n_cust = int(per_cust.count())
-    # SCALE-INVARIANT threshold: val > 1.5 × mean customer value (TPC-H's
-    # own fraction is 0.0001/SF for the same reason — a fixed fraction of
-    # the global total empties the result as row count grows; this form
-    # returns the above-mean tail at every SF).  Exact-integer HAVING:
-    # val_c > 1.5 · total_c / n_cust  ⇔  val_c · n_cust · 2 > total_c · 3
-    # (a float threshold double-rounds and can flip 1-ulp boundary customers)
-    per_cust = filter_batches(
-        per_cust,
-        # checked multiplies: n_cust grows with SF, so an int64 wraparound
-        # must fail loudly instead of silently diverging from the oracle
-        lambda b: pc.greater(
-            pc.multiply_checked(
-                pc.multiply_checked(b.column("val_c"), n_cust), 2
-            ),
-            total_c * 3,
-        ),
-    )
-    out = _unscale_cols(per_cust, {"val_c": 100})
-    return out.map_batches(
-        lambda b: b.rename_columns(["o_custkey", "value"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
-def q14_promo_revenue(sf_dir: str):
-    """TPC-H Q14: promo revenue ratio — lineitem x part broadcast join,
-    conditional global aggregate, one output row."""
-    part = _small(sf_dir, "part", ["p_partkey", "p_type"])
-    line = read_table(
-        sf_dir,
-        "lineitem",
-        columns=["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        filter=(
-            (pads.field("l_shipdate") >= _ts("1996-09-01"))
-            & (pads.field("l_shipdate") < _ts("1996-10-01"))
-        ),
-    )
-    j = broadcast_join(line, part, keys=["l_partkey"], right_keys=["p_partkey"])
-    j = with_columns(
-        j,
-        {
-            "rev_c": _rev_cents,
-            "promo_c": lambda b: pc.if_else(
-                pc.equal(b.column("p_type"), "PROMO"),
-                _rev_cents(b),
-                pa.scalar(0, type=pa.int64()),
-            ),
-        },
-    )
-    out = global_aggregate(j, [("sum", "promo_c", "p"), ("sum", "rev_c", "t")])
-    promo_c = out.column("p")[0].as_py()
-    tot_c = out.column("t")[0].as_py()
-    # exact ints → one IEEE multiply+divide, deterministic across engines
-    return pa.table({"promo_revenue": [100.0 * float(promo_c) / float(tot_c)]})
-
-
-def q16_supplier_cnt(sf_dir: str):
-    """TPC-H Q16 shape: COUNT(DISTINCT supplier) per (brand, type, size)
-    with exclusion predicates, using lineitem (l_partkey, l_suppkey) as the
-    part-supplier relation (no partsupp table)."""
-    part = _small(sf_dir, "part", ["p_partkey", "p_brand", "p_type", "p_size"])
-    mask = pc.and_(
-        pc.not_equal(part.column("p_brand"), "Brand#1"),
-        pc.and_(
-            pc.not_equal(part.column("p_type"), "PROMO"),
-            pc.is_in(
-                part.column("p_size"),
-                pa.array([1, 5, 9, 13, 17, 21, 25, 29], type=pa.int32()),
-            ),
-        ),
-    )
-    part = part.filter(mask)
-    line = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
-    j = broadcast_join(line, part, keys=["l_partkey"], right_keys=["p_partkey"])
-    return grouped_count_distinct(
-        j, ["p_brand", "p_type", "p_size"], "l_suppkey", "supplier_cnt"
-    )
-
-
-def q19_disjunctive_revenue(sf_dir: str):
-    """TPC-H Q19 shape: broadcast part join with an OR of three
-    (brand, size-range, quantity-range) conjunct groups, global revenue sum."""
-    part = _small(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
-    line = read_table(
-        sf_dir,
-        "lineitem",
-        columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
-    )
-    j = broadcast_join(line, part, keys=["l_partkey"], right_keys=["p_partkey"])
-
-    def conjunct(b: pa.Table, brand: str, qlo: float, qhi: float, smax: int):
-        return pc.and_(
-            pc.equal(b.column("p_brand"), brand),
-            pc.and_(
-                pc.and_(
-                    pc.greater_equal(b.column("l_quantity"), qlo),
-                    pc.less_equal(b.column("l_quantity"), qhi),
-                ),
-                pc.and_(
-                    pc.greater_equal(b.column("p_size"), 1),
-                    pc.less_equal(b.column("p_size"), smax),
-                ),
-            ),
-        )
-
-    j = filter_batches(
-        j,
-        lambda b: pc.or_(
-            pc.or_(
-                conjunct(b, "Brand#12", 1.0, 11.0, 5),
-                conjunct(b, "Brand#13", 10.0, 20.0, 10),
-            ),
-            conjunct(b, "Brand#14", 20.0, 30.0, 15),
-        ),
-    )
-    j = with_columns(j, {"rev_c": _rev_cents})
-    out = global_aggregate(j, [("sum", "rev_c", "revenue")])
-    rev = out.column("revenue")[0].as_py()
-    return pa.table({"revenue": [float(rev or 0) / 100.0]})
-
-
-def cube_order_stats(sf_dir: str):
-    """GROUP BY CUBE(priority, status): all four grouping sets with
-    null-filled rollup keys, derived from one distributed aggregate."""
-    orders = read_table(
-        sf_dir, "orders", columns=["o_orderpriority", "o_orderstatus", "o_totalprice"]
-    )
-    orders = with_columns(
-        orders, {"tp_c": lambda b: scaled_int(b.column("o_totalprice"), 100)}
-    )
-    cube = cube_aggregate(
-        orders,
-        ["o_orderpriority", "o_orderstatus"],
-        [("count", "tp_c", "n"), ("sum", "tp_c", "total_c")],
-    )
-    return pa.table(
-        {
-            "o_orderpriority": cube.column("o_orderpriority"),
-            "o_orderstatus": cube.column("o_orderstatus"),
-            "n": cube.column("n"),
-            "total": unscale(cube.column("total_c"), 100),
-        }
-    )
-
-
-def rollup_order_stats(sf_dir: str):
-    """GROUP BY ROLLUP(priority, status): the prefix grouping sets only
-    (hierarchy drill-up), refolded from one distributed finest aggregate."""
-    orders = read_table(
-        sf_dir, "orders", columns=["o_orderpriority", "o_orderstatus", "o_totalprice"]
-    )
-    orders = with_columns(
-        orders, {"tp_c": lambda b: scaled_int(b.column("o_totalprice"), 100)}
-    )
-    roll = rollup_aggregate(
-        orders,
-        ["o_orderpriority", "o_orderstatus"],
-        [("count", "tp_c", "n"), ("sum", "tp_c", "total_c")],
-    )
-    return pa.table(
-        {
-            "o_orderpriority": roll.column("o_orderpriority"),
-            "o_orderstatus": roll.column("o_orderstatus"),
-            "n": roll.column("n"),
-            "total": unscale(roll.column("total_c"), 100),
-        }
-    )
-
-
-def left_join_order_counts(sf_dir: str):
-    """LEFT OUTER join (cogroup shuffle): every customer with its count of
-    pre-1996-06 orders, 0 for customers with none (null-extended then
-    coalesced)."""
-    orders = read_table(
-        sf_dir,
-        "orders",
-        columns=["o_custkey", "o_orderkey", "o_orderdate"],
-        filter=(pads.field("o_orderdate") < _ts("1996-06-01")),
-    )
-    counts = grouped_aggregate(orders, ["o_custkey"], [("count", "o_orderkey", "n_orders")])
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    j = partitioned_join(
-        cust,
-        counts,
-        on=["c_custkey"],
-        right_on=["o_custkey"],
-        join_type="left_outer",
-        num_partitions=8,
-    )
-    return with_columns(
-        j, {"n_orders": lambda b: pc.fill_null(b.column("n_orders"), 0)}
-    )
-
-
-def full_join_nation_presence(sf_dir: str):
-    """FULL OUTER join: per-nation supplier vs customer counts; nations with
-    only one side present survive null-extended on the other."""
-    supp = read_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
-    ns = grouped_aggregate(supp, ["s_nationkey"], [("count", "s_suppkey", "n_supp")])
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    nc = grouped_aggregate(cust, ["c_nationkey"], [("count", "c_custkey", "n_cust")])
-    j = partitioned_join(
-        ns,
-        nc,
-        on=["s_nationkey"],
-        right_on=["c_nationkey"],
-        join_type="full_outer",
-        num_partitions=4,
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "nationkey": pc.cast(b.column("s_nationkey"), pa.int64()),
-                "n_supp": pc.fill_null(b.column("n_supp"), 0),
-                "n_cust": pc.fill_null(b.column("n_cust"), 0),
-            }
-        )
-
-    return j.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
 
 _REV_SQL = "SUM(CAST(ROUND(l_extendedprice * (1 - l_discount) * 100, 0) AS BIGINT))"
 
@@ -502,14 +125,4 @@ SQL["full_join_nation_presence"] = """
 """
 
 QUERIES = {
-    "cube_order_stats": cube_order_stats,
-    "rollup_order_stats": rollup_order_stats,
-    "left_join_order_counts": left_join_order_counts,
-    "full_join_nation_presence": full_join_nation_presence,
-    "q7_volume_shipping": q7_volume_shipping,
-    "q10_returned_items": q10_returned_items,
-    "q11_important_customers": q11_important_customers,
-    "q14_promo_revenue": q14_promo_revenue,
-    "q16_supplier_cnt": q16_supplier_cnt,
-    "q19_disjunctive_revenue": q19_disjunctive_revenue,
 }

@@ -1,6 +1,6 @@
 """Third TPC-H-style batch: the classic queries NOT in the reference's
 hand-built workload (reference runs Q1,Q4,Q5,Q6,Q7,Q11,Q16,Q18,Q19 per
-/root/reference/benchmark/runner/tpch_runner.cpp:13-27) re-expressed over the
+reference benchmark/runner/tpch_runner.cpp:13-27) re-expressed over the
 driver's testdata schema, to complete the suite's plan-shape coverage:
 
 - Q2  — per-group MIN + join-back (correlated min subquery);
@@ -24,8 +24,13 @@ in place of availqty vs half of supplied quantity; Q22 uses digits of
 c_name as the country code and "no URGENT order" as the inactivity
 predicate.
 
-Float determinism: the integer-scaling recipe from tpch.py, mirrored
-verbatim in every SQL oracle (never ROUND(x, d) on a compared float).
+Every query but Q21 is its oracle SQL string, run through the SQL
+front-end by ``queries()``.  Q21's NOT EXISTS carries a non-equality
+correlation (``l2.l_suppkey <> l1.l_suppkey``) the front-end cannot
+decorrelate, so it stays a hand-built Ray Data plan.
+
+Float determinism: the integer-scaling recipe from tpch.py, written
+verbatim in every SQL string (never ROUND(x, d) on a compared float).
 """
 
 from __future__ import annotations
@@ -34,371 +39,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 from terrier_ray.ops.relational import (
-    topk,
-    broadcast_join,
-    distinct,
-    filter_batches,
-    global_aggregate,
     grouped_aggregate,
     partitioned_join,
     read_table,
-    scaled_int,
-    unscale,
-    with_columns,
+    topk,
 )
-from terrier_ray.pipelines.tpch import _rev_cents, _small, _ts, _unscale_cols
-
-
-def _collect(ds) -> pa.Table:
-    """Driver-side collect of a SMALL (already-aggregated) dataset — the
-    broadcast-build-side pattern (q18 precedent): partials are orders of
-    magnitude smaller than the input, never the raw table."""
-    batches = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
-    return pa.concat_tables(batches) if batches else None
-
-
-def q2_min_cost_supplier(sf_dir: str):
-    """Q2 shape: for small parts, the supplier(s) with the minimum account
-    balance among suppliers that ship the part (correlated MIN subquery →
-    distributed per-group MIN + broadcast join-back on the min value)."""
-    pairs = distinct(
-        read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"]),
-        ["l_partkey", "l_suppkey"],
-        num_partitions=16,
-    )
-    part = _small(sf_dir, "part", ["p_partkey", "p_name", "p_size"])
-    part = part.filter(pc.less_equal(part.column("p_size"), 10)).drop_columns(
-        ["p_size"]
-    )
-    supp = _small(sf_dir, "supplier", ["s_suppkey", "s_name", "s_acctbal"])
-    ps = broadcast_join(pairs, part, keys=["l_partkey"], right_keys=["p_partkey"])
-    ps = broadcast_join(ps, supp, keys=["l_suppkey"], right_keys=["s_suppkey"])
-    ps = with_columns(
-        ps, {"acct_c": lambda b: scaled_int(b.column("s_acctbal"), 100)}
-    )
-    mins_raw = _collect(
-        grouped_aggregate(ps, ["l_partkey"], [("min", "acct_c", "min_c")])
-    )
-    mins = pa.table(
-        {"mk": mins_raw.column("l_partkey"), "min_c": mins_raw.column("min_c")}
-    )
-    out = broadcast_join(ps, mins, keys=["l_partkey"], right_keys=["mk"])
-    out = filter_batches(
-        out, lambda b: pc.equal(b.column("acct_c"), b.column("min_c"))
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "p_partkey": b.column("l_partkey"),
-                "p_name": b.column("p_name"),
-                "s_suppkey": b.column("l_suppkey"),
-                "s_name": b.column("s_name"),
-                "s_acctbal": b.column("s_acctbal"),
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def q8_market_share(sf_dir: str):
-    """Q8: NATION_3's share of ECONOMY-part revenue among ASIA-region
-    customers per order year — broadcast dimension chain into the one
-    large-large (lineitem x orders) shuffle, integer-cents ratio."""
-    part = _small(sf_dir, "part", ["p_partkey", "p_type"])
-    part = part.filter(pc.equal(part.column("p_type"), "ECONOMY")).select(
-        ["p_partkey"]
-    )
-    nation = _small(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"])
-    region = _small(sf_dir, "region", ["r_regionkey", "r_name"])
-    asia = nation.join(region, keys=["n_regionkey"], right_keys=["r_regionkey"])
-    asia = asia.filter(pc.equal(asia.column("r_name"), "ASIA")).select(
-        ["n_nationkey"]
-    )
-    cust = _small(sf_dir, "customer", ["c_custkey", "c_nationkey"]).join(
-        asia, keys=["c_nationkey"], right_keys=["n_nationkey"], join_type="inner"
-    )
-    cust = cust.select(["c_custkey"])
-    supp = _small(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).join(
-        nation.select(["n_nationkey", "n_name"]),
-        keys=["s_nationkey"],
-        right_keys=["n_nationkey"],
-    )
-    supp = supp.select(["s_suppkey", "n_name"]).rename_columns(
-        ["s_suppkey", "supp_nation"]
-    )
-
-    line = read_table(
-        sf_dir,
-        "lineitem",
-        columns=["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    )
-    line = broadcast_join(line, part, keys=["l_partkey"], right_keys=["p_partkey"])
-    line = broadcast_join(line, supp, keys=["l_suppkey"], right_keys=["s_suppkey"])
-
-    orders = read_table(
-        sf_dir,
-        "orders",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        filter=(
-            (pads.field("o_orderdate") >= _ts("1995-01-01"))
-            & (pads.field("o_orderdate") <= _ts("1996-12-31"))
-        ),
-    )
-    orders = broadcast_join(orders, cust, keys=["o_custkey"], right_keys=["c_custkey"])
-    j = partitioned_join(
-        line, orders, on=["l_orderkey"], right_on=["o_orderkey"], num_partitions=8
-    )
-    j = with_columns(
-        j,
-        {
-            "o_year": lambda b: pc.year(b.column("o_orderdate")),
-            "rev_c": _rev_cents,
-            "nat_c": lambda b: pc.if_else(
-                pc.equal(b.column("supp_nation"), "NATION_3"),
-                _rev_cents(b),
-                pa.scalar(0, type=pa.int64()),
-            ),
-        },
-    )
-    agg = grouped_aggregate(
-        j, ["o_year"], [("sum", "nat_c", "num"), ("sum", "rev_c", "den")]
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        share = pc.divide(
-            pc.cast(b.column("num"), pa.float64()),
-            pc.cast(b.column("den"), pa.float64()),
-        )
-        return pa.table({"o_year": b.column("o_year"), "mkt_share": share})
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def q9_product_profit(sf_dir: str):
-    """Q9 shape (minus the supplycost term the schema lacks): revenue from
-    'widget' parts by (supplier nation, order year)."""
-    part = _small(sf_dir, "part", ["p_partkey", "p_name"])
-    part = part.filter(
-        pc.match_substring(part.column("p_name"), "widget")
-    ).select(["p_partkey"])
-    nation = _small(sf_dir, "nation", ["n_nationkey", "n_name"])
-    supp = _small(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).join(
-        nation, keys=["s_nationkey"], right_keys=["n_nationkey"]
-    )
-    supp = supp.select(["s_suppkey", "n_name"])
-
-    line = read_table(
-        sf_dir,
-        "lineitem",
-        columns=["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    )
-    line = broadcast_join(line, part, keys=["l_partkey"], right_keys=["p_partkey"])
-    line = broadcast_join(line, supp, keys=["l_suppkey"], right_keys=["s_suppkey"])
-    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
-    j = partitioned_join(
-        line, orders, on=["l_orderkey"], right_on=["o_orderkey"], num_partitions=8
-    )
-    j = with_columns(
-        j,
-        {
-            "o_year": lambda b: pc.year(b.column("o_orderdate")),
-            "rev_c": _rev_cents,
-        },
-    )
-    out = grouped_aggregate(
-        j, ["n_name", "o_year"], [("sum", "rev_c", "sum_profit")]
-    )
-    return _unscale_cols(out, {"sum_profit": 100})
-
-
-def q12_priority_counts(sf_dir: str):
-    """Q12 shape: high-/low-priority order counts per return flag (stand-in
-    for shipmode) over a one-year ship window."""
-    line = read_table(
-        sf_dir,
-        "lineitem",
-        columns=["l_orderkey", "l_returnflag", "l_shipdate"],
-        filter=(
-            (pads.field("l_shipdate") >= _ts("1996-01-01"))
-            & (pads.field("l_shipdate") < _ts("1997-01-01"))
-        ),
-    )
-    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
-    j = partitioned_join(
-        line, orders, on=["l_orderkey"], right_on=["o_orderkey"], num_partitions=8
-    )
-    j = with_columns(
-        j,
-        {
-            "high": lambda b: pc.cast(
-                pc.is_in(
-                    b.column("o_orderpriority"),
-                    pa.array(["1-URGENT", "2-HIGH"]),
-                ),
-                pa.int64(),
-            ),
-        },
-    )
-    j = with_columns(j, {"low": lambda b: pc.subtract(1, b.column("high"))})
-    return grouped_aggregate(
-        j,
-        ["l_returnflag"],
-        [("sum", "high", "high_line_count"), ("sum", "low", "low_line_count")],
-    )
-
-
-def q13_customer_distribution(sf_dir: str):
-    """Q13: distribution of customers by order count (priority-filtered),
-    including zero-order customers — LEFT JOIN + two-level aggregation."""
-    orders = read_table(
-        sf_dir,
-        "orders",
-        columns=["o_custkey", "o_orderkey", "o_orderpriority"],
-        filter=(pads.field("o_orderpriority") != "4-NOT SPECIFIED"),
-    ).drop_columns(["o_orderpriority"])
-    cust = read_table(sf_dir, "customer", columns=["c_custkey"])
-
-    # join-aggregation fusion: per-customer order counts are join-key-local,
-    # so the cogroup's post_fn counts AND pre-folds the distribution inside
-    # each bucket — the separate orders aggregation shuffle disappears
-    def fuse(t: pa.Table) -> pa.Table:
-        gb = t.group_by(["c_custkey"]).aggregate([("o_orderkey", "count")])
-        dist = gb.group_by(["o_orderkey_count"]).aggregate([("c_custkey", "count")])
-        return pa.table(
-            {
-                "c_count": dist.column("o_orderkey_count"),
-                "custdist_p": dist.column("c_custkey_count"),
-            }
-        )
-
-    partials = partitioned_join(
-        cust,
-        orders,
-        on=["c_custkey"],
-        right_on=["o_custkey"],
-        join_type="left_outer",
-        num_partitions=8,
-        post_fn=fuse,
-    )
-    return grouped_aggregate(partials, ["c_count"], [("sum", "custdist_p", "custdist")])
-
-
-def q15_top_supplier(sf_dir: str):
-    """Q15: supplier(s) achieving the maximum 3-month revenue — the revenue
-    view is one distributed grouped aggregate (per-supplier partials, tiny vs
-    input); its max is taken driver-side (scalar subquery) and matched by
-    exact integer-cents equality."""
-    line = read_table(
-        sf_dir,
-        "lineitem",
-        columns=["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        filter=(
-            (pads.field("l_shipdate") >= _ts("1996-01-01"))
-            & (pads.field("l_shipdate") < _ts("1996-04-01"))
-        ),
-    )
-    line = with_columns(line, {"rev_c": _rev_cents})
-    rev = _collect(
-        grouped_aggregate(line, ["l_suppkey"], [("sum", "rev_c", "r_c")])
-    )
-    max_c = pc.max(rev.column("r_c")).as_py()
-    rev = rev.filter(pc.equal(rev.column("r_c"), max_c))
-    supp = _small(sf_dir, "supplier", ["s_suppkey", "s_name"])
-    out = rev.join(supp, keys=["l_suppkey"], right_keys=["s_suppkey"])
-    return pa.table(
-        {
-            "s_suppkey": out.column("l_suppkey"),
-            "s_name": out.column("s_name"),
-            "total_revenue": unscale(out.column("r_c"), 100),
-        }
-    )
-
-
-def q17_small_quantity_revenue(sf_dir: str):
-    """Q17: revenue/7 from Brand#3 line items below 20% of their part's
-    average quantity.  The correlated AVG subquery becomes a per-part
-    (sum, count) aggregate collected driver-side (≤ one row per brand part)
-    and broadcast back as a threshold column."""
-    part = _small(sf_dir, "part", ["p_partkey", "p_brand"])
-    part = part.filter(pc.equal(part.column("p_brand"), "Brand#3")).select(
-        ["p_partkey"]
-    )
-    line = read_table(
-        sf_dir, "lineitem", columns=["l_partkey", "l_quantity", "l_extendedprice"]
-    )
-    line = broadcast_join(
-        line, part, keys=["l_partkey"], right_keys=["p_partkey"]
-    ).materialize()  # reused for the avg pass AND the threshold filter
-    stats = _collect(
-        grouped_aggregate(
-            line,
-            ["l_partkey"],
-            [("sum", "l_quantity", "qsum"), ("count", "l_quantity", "qcnt")],
-        )
-    )
-    # 0.2 * AVG(qty): quantities are whole numbers, their float64 sum is
-    # exact, so avg (one divide) and the 0.2 multiply are deterministic
-    thr = pc.multiply(
-        0.2,
-        pc.divide(stats.column("qsum"), pc.cast(stats.column("qcnt"), pa.float64())),
-    )
-    thr_tbl = pa.table({"tk": stats.column("l_partkey"), "thr": thr})
-    j = broadcast_join(line, thr_tbl, keys=["l_partkey"], right_keys=["tk"])
-    j = filter_batches(
-        j, lambda b: pc.less(b.column("l_quantity"), b.column("thr"))
-    )
-    j = with_columns(
-        j, {"ep_c": lambda b: scaled_int(b.column("l_extendedprice"), 100)}
-    )
-    out = global_aggregate(j, [("sum", "ep_c", "s")])
-    s = out.column("s")[0].as_py()
-    return pa.table({"avg_yearly": [float(s or 0) / 100.0 / 7.0]})
-
-
-def q20_volume_suppliers(sf_dir: str):
-    """Q20 shape: suppliers shipping >25% of a SMALL part's 1996 volume —
-    two-granularity aggregation ((part,supp) then part) + threshold semi
-    join, distinct suppliers out."""
-    part = _small(sf_dir, "part", ["p_partkey", "p_type"])
-    part = part.filter(pc.equal(part.column("p_type"), "SMALL")).select(
-        ["p_partkey"]
-    )
-    line = read_table(
-        sf_dir,
-        "lineitem",
-        columns=["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
-        filter=(
-            (pads.field("l_shipdate") >= _ts("1996-01-01"))
-            & (pads.field("l_shipdate") < _ts("1997-01-01"))
-        ),
-    )
-    line = broadcast_join(line, part, keys=["l_partkey"], right_keys=["p_partkey"])
-    pairqty = grouped_aggregate(
-        line, ["l_partkey", "l_suppkey"], [("sum", "l_quantity", "q")]
-    ).materialize()
-    pq_raw = _collect(
-        grouped_aggregate(pairqty, ["l_partkey"], [("sum", "q", "tq")])
-    )
-    partqty = pa.table(
-        {"pk": pq_raw.column("l_partkey"), "tq": pq_raw.column("tq")}
-    )
-    j = broadcast_join(pairqty, partqty, keys=["l_partkey"], right_keys=["pk"])
-    j = filter_batches(
-        j, lambda b: pc.greater(pc.multiply(b.column("q"), 4.0), b.column("tq"))
-    )
-    supps = distinct(j, ["l_suppkey"], num_partitions=4)
-    supp = _small(sf_dir, "supplier", ["s_suppkey", "s_name"])
-    out = broadcast_join(supps, supp, keys=["l_suppkey"], right_keys=["s_suppkey"])
-    return out.map_batches(
-        lambda b: pa.table(
-            {"s_suppkey": b.column("l_suppkey"), "s_name": b.column("s_name")}
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
 
 
 def q21_sole_supplier_wait(sf_dir: str):
@@ -460,7 +108,9 @@ def q21_sole_supplier_wait(sf_dir: str):
         fused, ["l_suppkey"], [("sum", "n_lines", "numwait")]
     )
     top = topk(per_supp, ["numwait", "l_suppkey"], 10, descending=[True, False])
-    supp = _small(sf_dir, "supplier", ["s_suppkey", "s_name"])
+    supp = pq.read_table(  # small dimension table, driver side
+        f"{sf_dir.rstrip('/')}/supplier.parquet", columns=["s_suppkey", "s_name"]
+    )
     out = top.join(supp, keys=["l_suppkey"], right_keys=["s_suppkey"])
     return pa.table(
         {
@@ -468,66 +118,6 @@ def q21_sole_supplier_wait(sf_dir: str):
             "s_name": out.column("s_name"),
             "numwait": out.column("numwait"),
         }
-    )
-
-
-def q22_sales_opportunity(sf_dir: str):
-    """Q22 shape: customers with above-(positive-)average balance and no
-    URGENT order, grouped by a substring country code — anti join + exact
-    integer scalar-subquery threshold."""
-    cust = read_table(
-        sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal"]
-    )
-    cust = with_columns(
-        cust, {"acct_c": lambda b: scaled_int(b.column("c_acctbal"), 100)}
-    )
-    pos = global_aggregate(
-        filter_batches(cust, lambda b: pc.greater(b.column("c_acctbal"), 0.0)),
-        [("sum", "acct_c", "s"), ("count", "acct_c", "n")],
-    )
-    total_c, n_pos = pos.column("s")[0].as_py(), pos.column("n")[0].as_py()
-    # exact-integer threshold: acct_c > total_c / n_pos  ⇔  acct_c*n_pos > total_c
-    rich = filter_batches(
-        cust,
-        lambda b: pc.greater(pc.multiply(b.column("acct_c"), n_pos), total_c),
-    )
-    urgent = read_table(
-        sf_dir,
-        "orders",
-        columns=["o_custkey", "o_orderpriority"],
-        filter=(pads.field("o_orderpriority") == "1-URGENT"),
-    ).drop_columns(["o_orderpriority"])
-    j = partitioned_join(
-        rich,
-        urgent,
-        on=["c_custkey"],
-        right_on=["o_custkey"],
-        join_type="left_anti",
-        num_partitions=8,
-    )
-    j = with_columns(
-        j,
-        {
-            "cntrycode": lambda b: pc.utf8_slice_codeunits(
-                b.column("c_name"), 15, 17
-            )
-        },
-    )
-    out = grouped_aggregate(
-        j,
-        ["cntrycode"],
-        [("count", "c_custkey", "numcust"), ("sum", "acct_c", "tot_c")],
-    )
-    return _unscale_cols(out, {"tot_c": 100}).map_batches(
-        lambda b: pa.table(
-            {
-                "cntrycode": b.column("cntrycode"),
-                "numcust": b.column("numcust"),
-                "totacctbal": b.column("tot_c"),
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
 
 
@@ -658,14 +248,5 @@ SQL = {
 }
 
 QUERIES = {
-    "q2_min_cost_supplier": q2_min_cost_supplier,
-    "q8_market_share": q8_market_share,
-    "q9_product_profit": q9_product_profit,
-    "q12_priority_counts": q12_priority_counts,
-    "q13_customer_distribution": q13_customer_distribution,
-    "q15_top_supplier": q15_top_supplier,
-    "q17_small_quantity_revenue": q17_small_quantity_revenue,
-    "q20_volume_suppliers": q20_volume_suppliers,
     "q21_sole_supplier_wait": q21_sole_supplier_wait,
-    "q22_sales_opportunity": q22_sales_opportunity,
 }

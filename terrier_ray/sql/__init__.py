@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from terrier_ray.sql.lower import Catalog, lower
+from ray.data import Dataset
+
+from terrier_ray.sql.lower import Catalog, lower, output_schema
 from terrier_ray.sql.parser import parse
 from terrier_ray.sql.rewrite import optimize
 from terrier_ray.sql.udf import drop_function, register_function
@@ -52,12 +54,43 @@ def _plan_stmt(stmt, sf_dir: str, optimized: bool = True) -> Mapping[str, Any]:
     return optimize(spec, sf_dir) if optimized else spec
 
 
+class SelectResult(Dataset):
+    """The lazy Dataset ``sql()`` and ``PreparedStatement.execute()`` return.
+
+    Ray Data's ``to_pandas()`` gives a frame with no columns when a Dataset
+    has no rows (its batcher drops empty blocks).  For a SELECT with no
+    rows this one returns the SELECT list's names, typed as the query
+    yields them on non-empty input — DuckDB's empty-result shape.
+    Transformations return plain Datasets."""
+
+    _select: "tuple[str, str, Any] | None" = None
+
+    def to_pandas(self, limit: "int | None" = None):
+        df = super().to_pandas(limit=limit)
+        if len(df.columns) or self._select is None:
+            return df
+        from terrier_ray.sql.ast import bind_params
+
+        query, sf_dir, params = self._select
+        stmt = parse(query)
+        if params is not None:
+            stmt = bind_params(stmt, list(params))
+        return output_schema(stmt, Catalog(sf_dir)).empty_table().to_pandas()
+
+
+def _select_result(ds: Dataset, query: str, sf_dir: str, params) -> SelectResult:
+    res = Dataset.copy(ds, _as=SelectResult)
+    res._select = (query, sf_dir, params)
+    return res
+
+
 def sql(query: str, sf_dir: str, optimized: bool = True,
-        params: "Any | None" = None):
+        params: "Any | None" = None) -> SelectResult:
     """Execute a SELECT over the sf_dir parquet tables → lazy Dataset."""
     from terrier_ray.api import build
 
-    return build(plan(query, sf_dir, optimized=optimized, params=params), sf_dir)
+    ds = build(plan(query, sf_dir, optimized=optimized, params=params), sf_dir)
+    return _select_result(ds, query, sf_dir, params)
 
 
 class PreparedStatement:
@@ -98,11 +131,12 @@ class PreparedStatement:
         stmt = bind_params(self._stmt, list(params) if params is not None else [])
         return _plan_stmt(stmt, self.sf_dir, self.optimized)
 
-    def execute(self, params: "Any | None" = None):
+    def execute(self, params: "Any | None" = None) -> SelectResult:
         """Bind + lower + build → lazy Dataset."""
         from terrier_ray.api import build
 
-        return build(self.plan(params), self.sf_dir)
+        ds = build(self.plan(params), self.sf_dir)
+        return _select_result(ds, self.query, self.sf_dir, params)
 
 
 def prepare(query: str, sf_dir: str, optimized: bool = True) -> PreparedStatement:
@@ -362,7 +396,7 @@ def explain_analyze(query: str, sf_dir: str, optimized: bool = True,
 
 
 __all__ = [
-    "sql", "sql_dml", "plan", "explain", "explain_analyze",
+    "sql", "SelectResult", "sql_dml", "plan", "explain", "explain_analyze",
     "prepare", "PreparedStatement",
     "register_function", "drop_function",
     "parse", "lower", "optimize", "Catalog",

@@ -1455,6 +1455,19 @@ def test_filtered_search_raises_without_sidecar(ray_session, webtext_small, tmp_
     assert not BM25Index(out).has_docvalues
 
 
+def test_sharded_filter_raises_without_sidecar(ray_session, webtext_small, tmp_root):
+    """The shard-side lang filter resolves through the same lookup as
+    search_filtered: no docvalues sidecar raises, never a silent []."""
+    from terrier_ray.index.bm25 import DistributedBM25
+
+    out = os.path.join(str(tmp_root), "idx_no_dv_sharded")
+    build_index(webtext_small, out, num_buckets=4, num_salts=1)
+    with pytest.raises(ValueError, match="docvalues"):
+        DistributedBM25(out).search_many_sharded(
+            ["the"], k=5, num_shards=2, filter_lang="en"
+        )
+
+
 def test_numeric_docvalues_date32_cast(tmp_root):
     """build_numeric_docvalues must handle date32-typed columns (direct
     date32->int64 casts are unimplemented in this pyarrow; the builder
@@ -1483,3 +1496,24 @@ def test_numeric_docvalues_date32_cast(tmp_root):
     val = np.frombuffer(buf, dtype="<i8", offset=24, count=3)
     assert did.tolist() == [1, 5, 9]
     assert val.tolist() == [20, 10, 30]  # days-since-epoch, docid-sorted
+
+
+def test_numeric_docvalues_rejects_null(tmp_root):
+    """A null warc_ts has no int64 value: the builder raises instead of
+    casting it through NaN into an arbitrary int64."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from terrier_ray.index.build import build_numeric_docvalues
+
+    src = os.path.join(str(tmp_root), "dv_null_corpus")
+    os.makedirs(src, exist_ok=True)
+    tab = pa.table(
+        {
+            "docid": pa.array([0, 1, 2], pa.int64()),
+            "warc_ts": pa.array([10, None, 30], pa.timestamp("us")),
+        }
+    )
+    pq.write_table(tab, os.path.join(src, "part-0.parquet"))
+    with pytest.raises(ValueError, match="null"):
+        build_numeric_docvalues(src, os.path.join(str(tmp_root), "dv_null_out"))

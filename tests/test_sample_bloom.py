@@ -1,12 +1,11 @@
-"""ops.sample determinism + ops.bloom guarantees."""
+"""ops.sample determinism + ops.packing guarantees."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
 
-from terrier_ray.ops.bloom import Bloom, bloom_prefilter, build_bloom
-from terrier_ray.ops.sample import bernoulli_sample, fixed_size_sample
+from terrier_ray.ops.sample import bernoulli_sample
 
 
 def _ds(n=5000, seed=0):
@@ -29,70 +28,6 @@ def test_bernoulli_sample_deterministic_and_unbiased(ray_session):
     assert sorted(a["k"]) == sorted(b["k"])  # replay-identical
     # ~10% with a loose tolerance (deterministic, so this never flakes)
     assert 0.05 < len(a) / 5000 < 0.15
-
-
-def test_fixed_size_sample_exact_n_and_stable(ray_session):
-    a = fixed_size_sample(_ds(), "k", 123)
-    b = fixed_size_sample(_ds(), "k", 123)
-    assert a.num_rows == 123
-    assert sorted(a.column("k").to_pylist()) == sorted(b.column("k").to_pylist())
-    assert a.column_names == ["k", "v"]  # rank column dropped
-
-
-def test_bloom_no_false_negatives_and_fp_rate(ray_session):
-    import ray.data as rd
-
-    present = np.arange(0, 20_000, 2, dtype=np.int64)  # evens
-    ds = rd.from_arrow(pa.table({"k": present}))
-    bloom = build_bloom(ds, "k", num_bits=1 << 17, k=4)
-    assert bloom.contains(present).all()  # NEVER a false negative
-    absent = np.arange(1, 20_001, 2, dtype=np.int64)  # odds
-    fp = bloom.contains(absent).mean()
-    # theory: (1-e^{-kn/m})^k ≈ (1-e^{-4*1e4/131072})^4 ≈ 0.0047
-    assert fp < 0.02, fp
-
-
-def test_bloom_prefilter_keeps_all_matches(ray_session):
-    import ray.data as rd
-
-    right = rd.from_arrow(pa.table({"k": np.arange(0, 1000, 7, dtype=np.int64)}))
-    bloom = build_bloom(right, "k", num_bits=1 << 14, k=4)
-    left = _ds(1000)
-    out = bloom_prefilter(left, "k", bloom).to_pandas()
-    want = set(range(0, 1000, 7))
-    assert want <= set(out["k"])  # every true match survives
-
-
-def test_bloom_partial_merge_equals_single(ray_session):
-    keys = np.arange(1000, dtype=np.int64)
-    single = Bloom(np.zeros(1 << 8, dtype=np.uint64), 1 << 14, 4)
-    single.add(keys)
-    a = Bloom(np.zeros(1 << 8, dtype=np.uint64), 1 << 14, 4)
-    b = Bloom(np.zeros(1 << 8, dtype=np.uint64), 1 << 14, 4)
-    a.add(keys[:500])
-    b.add(keys[500:])
-    assert np.array_equal(single.bits, a.bits | b.bits)  # OR-mergeable
-
-
-def test_bloom_semi_join_equals_plain_semi(ray_session, sf_smoke):
-    """The bloom pre-filter must be invisible in the result: identical rows
-    to the plain EXISTS semi join (FPs removed by the exact join, no FNs)."""
-    from terrier_ray.pipelines.sampling import bloom_semi_join_urgent
-    from terrier_ray.pipelines.tpch import semi_join_urgent
-
-    a = (
-        bloom_semi_join_urgent(sf_smoke)
-        .to_pandas()
-        .sort_values("c_custkey")
-        .reset_index(drop=True)
-    )
-    b = (
-        semi_join_urgent(sf_smoke)
-        .to_pandas()
-        .sort_values("c_custkey")
-        .reset_index(drop=True)
-    )
-    assert (a["c_custkey"].values == b["c_custkey"].values).all()
 
 
 def test_mixture_sample_exact_arithmetic(ray_session):

@@ -409,6 +409,30 @@ def test_sql_matches_duckdb_exactly(ray_session, sf_smoke, query):
             assert (a.astype(str).values == b.astype(str).values).all(), c
 
 
+EMPTY = [
+    "SELECT o_orderkey, o_totalprice FROM orders WHERE o_totalprice < 0",
+    """SELECT o_orderpriority, count(*) AS n FROM orders
+       WHERE o_totalprice < 0 GROUP BY o_orderpriority""",
+]
+
+
+@pytest.mark.parametrize("query", EMPTY, ids=["filter", "group_by"])
+def test_sql_empty_result_keeps_select_schema(ray_session, sf_smoke, query):
+    """No rows still means the SELECT list's columns, typed as DuckDB
+    types them (Ray Data alone returns a frame with no columns)."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.sql(
+        f"CREATE VIEW orders AS SELECT * FROM read_parquet('{sf_smoke}/orders.parquet')"
+    )
+    mine = sql(query, sf_smoke).to_pandas()
+    want = con.sql(query).df()
+    assert len(mine) == len(want) == 0
+    assert list(mine.columns) == list(want.columns)
+    assert [str(t) for t in mine.dtypes] == [str(t) for t in want.dtypes]
+
+
 def test_sql_explain_shows_pushed_plan(sf_smoke):
     from terrier_ray.sql import explain
 

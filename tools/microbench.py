@@ -86,7 +86,6 @@ def main() -> None:
         topk,
         with_columns,
     )
-    from terrier_ray.ops.bloom import bloom_prefilter, build_bloom
     from terrier_ray.ops.rangejoin import range_join
     from terrier_ray.ops.sample import bernoulli_sample
     from terrier_ray.ops.sketch import approx_percentile
@@ -152,9 +151,6 @@ def main() -> None:
                 ).count(),
                 "bernoulli_sample": lambda: bernoulli_sample(
                     ds0, "k", 100
-                ).count(),
-                "bloom_build_filter": lambda: bloom_prefilter(
-                    ds0, "k", build_bloom(ds0, "k", num_bits=1 << 18)
                 ).count(),
                 "tdigest_p50_p99": lambda: len(
                     approx_percentile(ds0, "v", [0.5, 0.99])
