@@ -19,13 +19,13 @@ top-k bounded heap (/root/reference/src/execution/sql/sorter.cpp:424-430).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from terrier_ray.index.build import decode_final_postings, term_hash
@@ -83,17 +83,90 @@ def _osa_distance_le(
     return prev[-1] if prev[-1] <= maxd else None
 
 
+class DocidColumn:
+    """One docid-keyed fixed-width sidecar (index/build.build_docid_sidecar):
+    docid-sorted range parts, each ``int64 docid[n] ++ value[n]``, listed
+    with their ranges in ``meta.json`` and np.memmap'd here — a reader's
+    heap holds only the pages its lookups touch, O(touched), not O(N).
+
+    ``dtype`` is the value layout (``<i4`` doclens, ``<u2`` dictionary
+    codes, ``<i8`` numeric docvalues); ``meta`` keeps the sidecar's extra
+    fields (``dict`` for a categorical column)."""
+
+    def __init__(self, sidecar_dir: str, dtype: str):
+        self.name = os.path.basename(sidecar_dir)
+        self.dtype = np.dtype(dtype)
+        with open(os.path.join(sidecar_dir, "meta.json")) as f:
+            self.meta = json.load(f)
+        #: each part's first docid — the part layout IS the shard boundary
+        self.lo = np.array([p["lo"] for p in self.meta["parts"]], dtype=np.int64)
+        self.parts: "list[tuple[np.ndarray, np.ndarray]]" = []
+        for p in self.meta["parts"]:
+            fp = os.path.join(sidecar_dir, p["file"])
+            n = p["n"]
+            did = np.memmap(fp, dtype="<i8", mode="r", offset=0, shape=(n,))
+            val = np.memmap(fp, dtype=self.dtype, mode="r", offset=8 * n, shape=(n,))
+            self.parts.append((did, val))
+
+    @classmethod
+    def open(cls, sidecar_dir: str, dtype: str) -> "DocidColumn | None":
+        """The sidecar at ``sidecar_dir``, or None when it was not built."""
+        if not os.path.exists(os.path.join(sidecar_dir, "meta.json")):
+            return None
+        return cls(sidecar_dir, dtype)
+
+    def docids(self) -> np.ndarray:
+        """Every docid, ascending (O(N))."""
+        return np.concatenate([d for d, _ in self.parts] + [np.empty(0, np.int64)])
+
+    def values(self) -> np.ndarray:
+        """Every value, in docid order (O(N))."""
+        return np.concatenate([v for _, v in self.parts] + [np.empty(0, self.dtype)])
+
+    def gather(self, docids: np.ndarray) -> np.ndarray:
+        """Values for ``docids``; a docid the sidecar lacks raises KeyError
+        — never a silently-wrong value from a neighbouring row."""
+        q = np.asarray(docids, dtype=np.int64)
+        if len(self.parts) == 1:  # the common case: one part, one search
+            did, val = self.parts[0]
+            pos = np.clip(np.searchsorted(did, q), 0, len(did) - 1)
+            if not (did[pos] == q).all():
+                raise KeyError(
+                    f"docid missing from the {self.name} sidecar — "
+                    "sidecar/corpus mismatch"
+                )
+            return np.asarray(val[pos])
+        pi = np.searchsorted(self.lo, q, side="right") - 1
+        if (pi < 0).any():
+            raise KeyError(
+                f"docid(s) {q[pi < 0][:5].tolist()} not covered by any "
+                f"{self.name} part — sidecar/corpus mismatch"
+            )
+        out = np.empty(len(q), dtype=self.dtype)
+        for i in np.unique(pi):
+            did, val = self.parts[int(i)]
+            sel = pi == i
+            pos = np.clip(np.searchsorted(did, q[sel]), 0, len(did) - 1)
+            if not (did[pos] == q[sel]).all():
+                raise KeyError(
+                    f"docid missing from the {self.name} sidecar — "
+                    "sidecar/corpus mismatch"
+                )
+            out[sel] = val[pos]
+        return out
+
+
 class BM25Index:
     """Query-side index handle: memmaps the doclen sidecar, reads posting
     buckets lazily with parquet predicate pushdown, caches per-term postings.
 
     Doclens: the build writes docid-SORTED fixed-width binary range shards
-    (index/build.py build_doclens); they are np.memmap'd here, so a scorer
-    actor's heap holds only the pages its queries touch — O(touched), not
-    O(N).  At 1e12 docs each scorer holds/maps only its docid-range parts
-    (DistributedBM25's scatter path); the part layout IS the shard
-    boundary.  Legacy indexes without the sidecar fall back to a pruned
-    corpus scan (docid, dl columns only).
+    (index/build.py build_docid_sidecar); ``self.doclens`` np.memmap's them
+    (``DocidColumn``), so a scorer actor's heap holds only the pages its
+    queries touch — O(touched), not O(N).  At 1e12 docs each scorer
+    holds/maps only its docid-range parts (DistributedBM25's scatter path);
+    the part layout IS the shard boundary.  An index without the sidecar
+    raises: every index build_index writes has one.
 
     Heavy terms: the build's second pass (build.fold_salted_postings) folds
     each heavy term's salted sub-postings into ONE fmt-2 row in its primary
@@ -139,40 +212,9 @@ class BM25Index:
             self.stats.get("salted_terms", self.stats.get("heavy_terms", ()))
         )
         self.postings_dir = os.path.join(index_dir, "postings")
-        doclens_dir = os.path.join(index_dir, "doclens")
-        meta_path = os.path.join(doclens_dir, "meta.json")
-        if os.path.exists(meta_path):
-            with open(meta_path) as f:
-                meta = json.load(f)
-            self._dl_parts = []
-            self._dl_lo = np.array([p["lo"] for p in meta["parts"]], dtype=np.int64)
-            for p in meta["parts"]:
-                fp = os.path.join(doclens_dir, p["file"])
-                n = p["n"]
-                did = np.memmap(fp, dtype="<i8", mode="r", offset=0, shape=(n,))
-                dl = np.memmap(fp, dtype="<i4", mode="r", offset=8 * n, shape=(n,))
-                self._dl_parts.append((did, dl))
-        else:  # legacy index: pruned corpus scan, held in heap
-            corpus = pads.dataset(os.path.join(index_dir, "corpus"))
-            t = corpus.to_table(columns=["docid", "dl"])
-            d = t.column("docid").to_numpy(zero_copy_only=False).astype(np.int64)
-            l = t.column("dl").to_numpy(zero_copy_only=False).astype(np.int32)
-            order = np.argsort(d)
-            self._dl_parts = [(d[order], l[order])]
-            self._dl_lo = np.array([int(d[order][0]) if len(d) else 0], dtype=np.int64)
-        # docvalues sidecar (categorical forward index for filtered
-        # retrieval) — lazy: meta read + part memmaps on first use, so
-        # unfiltered serving never touches it
-        self._dv_dir = os.path.join(index_dir, "docvalues")
-        self._dv_loaded = False
-        self._dv_parts: "list[tuple[np.ndarray, np.ndarray]]" = []
-        self._dv_lo: "np.ndarray | None" = None
-        self._dv_dict: "list[str]" = []
-        # numeric docvalues (warc_ts) — range filters; same lazy discipline
-        self._nv_dir = os.path.join(index_dir, "docvalues_ts")
-        self._nv_loaded = False
-        self._nv_parts: "list[tuple[np.ndarray, np.ndarray]]" = []
-        self._nv_lo: "np.ndarray | None" = None
+        #: docid → dl (epoch 2b), memmapped; every index build_index
+        #: writes has it, so a missing sidecar raises FileNotFoundError
+        self.doclens = DocidColumn(os.path.join(index_dir, "doclens"), "<i4")
         from collections import OrderedDict
 
         self._cache: "OrderedDict[str, tuple | None]" = OrderedDict()
@@ -282,47 +324,9 @@ class BM25Index:
             self._wd_cache.popitem(last=False)
         return w
 
-    @property
-    def _dl_docids(self) -> np.ndarray:
-        """All corpus docids, sorted ascending (O(N) — only the boolean
-        complement path needs it, which is inherently O(N))."""
-        if len(self._dl_parts) == 1:
-            return np.asarray(self._dl_parts[0][0])
-        return np.concatenate([np.asarray(d) for d, _ in self._dl_parts])
-
     def doc_len(self, docids: np.ndarray) -> np.ndarray:
-        q = docids.astype(np.int64)
-        if len(self._dl_parts) == 1:
-            did, dl = self._dl_parts[0]
-            pos = np.clip(np.searchsorted(did, q), 0, len(did) - 1)
-            if not (did[pos] == q).all():
-                raise KeyError(
-                    "posting docid missing from the doclens sidecar — "
-                    "index sidecar/corpus mismatch"
-                )
-            return dl[pos].astype(np.float64)
-        pi = np.searchsorted(self._dl_lo, q, side="right") - 1
-        if (pi < 0).any():
-            # a posting docid below every doclen part's range means the
-            # sidecar and corpus disagree — fail loudly, never score with a
-            # silently-wrong doc length (ADVICE r3)
-            raise KeyError(
-                f"docid(s) {q[pi < 0][:5].tolist()} not covered by any "
-                "doclens part — index sidecar/corpus mismatch"
-            )
-        out = np.empty(len(q), dtype=np.float64)
-        for p in np.unique(pi):
-            m = pi == p
-            did, dl = self._dl_parts[p]
-            pos = np.searchsorted(did, q[m])
-            pos_c = np.clip(pos, 0, len(did) - 1)
-            if not (did[pos_c] == q[m]).all():
-                raise KeyError(
-                    "posting docid missing from its doclens part — "
-                    "index sidecar/corpus mismatch"
-                )
-            out[m] = dl[pos_c].astype(np.float64)
-        return out
+        """float64 doc lengths of ``docids`` from the doclens sidecar."""
+        return self.doclens.gather(docids).astype(np.float64)
 
     def _buckets_of(self, term: str, h: int) -> list[int]:
         """Bucket file(s) holding a term's posting row(s)."""
@@ -469,35 +473,29 @@ class BM25Index:
     # docvalues (categorical forward index; Lucene DocValues analog)
     # ------------------------------------------------------------------
 
-    def _dv_load(self) -> None:
-        if self._dv_loaded:
-            return
-        self._dv_loaded = True
-        mp = os.path.join(self._dv_dir, "meta.json")
-        if not os.path.exists(mp):
-            return
-        with open(mp) as f:
-            meta = json.load(f)
-        self._dv_dict = list(meta["dict"])
-        self._dv_lo = np.array([p["lo"] for p in meta["parts"]], dtype=np.int64)
-        for p in meta["parts"]:
-            fp = os.path.join(self._dv_dir, p["file"])
-            n = p["n"]
-            did = np.memmap(fp, dtype="<i8", mode="r", offset=0, shape=(n,))
-            code = np.memmap(fp, dtype="<u2", mode="r", offset=8 * n, shape=(n,))
-            self._dv_parts.append((did, code))
+    @functools.cached_property
+    def docvalues(self) -> "DocidColumn | None":
+        """The lang docvalues sidecar (epoch 2c; None when not built) —
+        opened on first use, so unfiltered serving never touches it."""
+        return DocidColumn.open(os.path.join(self.index_dir, "docvalues"), "<u2")
+
+    @functools.cached_property
+    def docvalues_ts(self) -> "DocidColumn | None":
+        """The warc_ts numeric docvalues sidecar (None when not built)."""
+        return DocidColumn.open(os.path.join(self.index_dir, "docvalues_ts"), "<i8")
 
     @property
     def has_docvalues(self) -> bool:
-        self._dv_load()
-        return bool(self._dv_parts)
+        return self.docvalues is not None
+
+    @property
+    def has_numeric_docvalues(self) -> bool:
+        return self.docvalues_ts is not None
 
     @property
     def docvalue_dict(self) -> "list[str]":
-        """The sidecar's sorted value dictionary ([] = no sidecar) —
-        use this, not the lazy private field, to enumerate values."""
-        self._dv_load()
-        return list(self._dv_dict)
+        """The sidecar's sorted value dictionary ([] = no sidecar)."""
+        return list(self.docvalues.meta["dict"]) if self.docvalues else []
 
     def _lang_code(self, lang: str) -> "np.uint16 | None":
         """Dictionary code for ``lang``, or None when the value is absent
@@ -505,122 +503,39 @@ class BM25Index:
         empty result).  Raises when the index has no sidecar at all — a
         misconfiguration, never a silent [] (the ONE lang-filter resolve
         shared by every filtered entry point)."""
-        self._dv_load()
-        if not self._dv_parts:
+        dictionary = self._docvalues_or_raise().meta["dict"]
+        return np.uint16(dictionary.index(lang)) if lang in dictionary else None
+
+    def _docvalues_or_raise(self) -> DocidColumn:
+        if self.docvalues is None:
             raise ValueError(
                 "index built without a docvalues sidecar "
                 "(build_index(docvalues=True))"
             )
-        try:
-            return np.uint16(self._dv_dict.index(lang))
-        except ValueError:
-            return None
+        return self.docvalues
 
     def docvalue_codes(self, docids: np.ndarray) -> np.ndarray:
         """Dictionary codes of the docvalue column for ``docids`` (uint16;
         0xFFFF = null) — the doc_len memmap-gather discipline applied to
         the attribute sidecar: a scorer touches only the pages its
         candidates land on."""
-        self._dv_load()
-        if not self._dv_parts:
-            raise ValueError(
-                "index built without a docvalues sidecar (corpus lacked the "
-                "attribute column)"
-            )
-        q = np.asarray(docids, dtype=np.int64)
-        if len(self._dv_parts) == 1:
-            did, code = self._dv_parts[0]
-            pos = np.clip(np.searchsorted(did, q), 0, len(did) - 1)
-            if not (did[pos] == q).all():
-                raise KeyError(
-                    "docid missing from the docvalues sidecar — sidecar/"
-                    "corpus mismatch"
-                )
-            return np.asarray(code[pos])
-        pi = np.searchsorted(self._dv_lo, q, side="right") - 1
-        if (pi < 0).any():
-            raise KeyError(
-                f"docid(s) {q[pi < 0][:5].tolist()} not covered by any "
-                "docvalues part — sidecar/corpus mismatch"
-            )
-        out = np.empty(len(q), dtype=np.uint16)
-        for i in np.unique(pi):
-            did, code = self._dv_parts[int(i)]
-            sel = pi == i
-            pos = np.clip(np.searchsorted(did, q[sel]), 0, len(did) - 1)
-            if not (did[pos] == q[sel]).all():
-                raise KeyError(
-                    "docid missing from the docvalues sidecar — sidecar/"
-                    "corpus mismatch"
-                )
-            out[sel] = code[pos]
-        return out
+        return self._docvalues_or_raise().gather(docids)
 
     def docvalues_of(self, docids: np.ndarray) -> "list[str | None]":
         """Decoded docvalue strings for ``docids`` (None = null)."""
         codes = self.docvalue_codes(docids)
-        d = self._dv_dict
+        d = self.docvalues.meta["dict"]
         return [d[c] if c != 0xFFFF else None for c in codes.tolist()]
-
-    def _nv_load(self) -> None:
-        if self._nv_loaded:
-            return
-        self._nv_loaded = True
-        mp = os.path.join(self._nv_dir, "meta.json")
-        if not os.path.exists(mp):
-            return
-        with open(mp) as f:
-            meta = json.load(f)
-        self._nv_lo = np.array([p["lo"] for p in meta["parts"]], dtype=np.int64)
-        for p in meta["parts"]:
-            fp = os.path.join(self._nv_dir, p["file"])
-            n = p["n"]
-            did = np.memmap(fp, dtype="<i8", mode="r", offset=0, shape=(n,))
-            val = np.memmap(fp, dtype="<i8", mode="r", offset=8 * n, shape=(n,))
-            self._nv_parts.append((did, val))
-
-    @property
-    def has_numeric_docvalues(self) -> bool:
-        self._nv_load()
-        return bool(self._nv_parts)
 
     def numeric_docvalue(self, docids: np.ndarray) -> np.ndarray:
         """int64 numeric docvalues (warc_ts epoch units) for ``docids`` —
         the ``docvalue_codes`` gather over the numeric sidecar."""
-        self._nv_load()
-        if not self._nv_parts:
+        if self.docvalues_ts is None:
             raise ValueError(
                 "index built without the numeric docvalues sidecar "
                 "(build_index(docvalues=True))"
             )
-        q = np.asarray(docids, dtype=np.int64)
-        if len(self._nv_parts) == 1:
-            did, val = self._nv_parts[0]
-            pos = np.clip(np.searchsorted(did, q), 0, len(did) - 1)
-            if not (did[pos] == q).all():
-                raise KeyError(
-                    "docid missing from the numeric docvalues sidecar — "
-                    "sidecar/corpus mismatch"
-                )
-            return np.asarray(val[pos])
-        pi = np.searchsorted(self._nv_lo, q, side="right") - 1
-        if (pi < 0).any():
-            raise KeyError(
-                f"docid(s) {q[pi < 0][:5].tolist()} not covered by any "
-                "numeric docvalues part — sidecar/corpus mismatch"
-            )
-        out = np.empty(len(q), dtype=np.int64)
-        for i in np.unique(pi):
-            did, val = self._nv_parts[int(i)]
-            sel = pi == i
-            pos = np.clip(np.searchsorted(did, q[sel]), 0, len(did) - 1)
-            if not (did[pos] == q[sel]).all():
-                raise KeyError(
-                    "docid missing from the numeric docvalues sidecar — "
-                    "sidecar/corpus mismatch"
-                )
-            out[sel] = val[pos]
-        return out
+        return self.docvalues_ts.gather(docids)
 
     def search_filtered(
         self,
@@ -1435,7 +1350,7 @@ class BM25Index:
             uni = np.unique(np.concatenate([dids(t) for t in should]))
             acc = uni if acc is None else acc[np.isin(acc, uni, assume_unique=True)]
         if acc is None:  # pure NOT query: complement over the corpus docids
-            acc = self._dl_docids.astype(np.uint64)  # sorted, unique
+            acc = self.doclens.docids().astype(np.uint64)  # sorted, unique
         if must_not and len(acc):
             excl = np.unique(np.concatenate([dids(t) for t in must_not]))
             acc = acc[~np.isin(acc, excl, assume_unique=True)]
@@ -1826,7 +1741,7 @@ def doclen_shard_ranges(
     discipline shared by every shard-side serving path (DistributedBM25
     and QueryStringEngine) — each corpus docid lands in exactly one range,
     so per-range partials merge exactly."""
-    lows = [int(lo) for lo in handle._dl_lo]
+    lows = [int(lo) for lo in handle.doclens.lo]
     bounds = lows + [1 << 63]
     ranges = list(zip(bounds[:-1], bounds[1:]))
     if num_shards is None or num_shards <= len(ranges):

@@ -1,29 +1,35 @@
 """Inverted-index build: the CREATE INDEX analog, Ray-Data-first.
 
-Three resumable epochs (terrier_ray.state.manifest), each a streaming Ray
-Data pipeline; a killed run restarts from the last completed epoch:
+Resumable epochs (terrier_ray.state.manifest), run by ``build_index``'s one
+epoch runner: each epoch's outputs are committed by a manifest written
+last, so a killed run restarts from the last committed epoch:
 
 1. ``corpus``   read webtext → HtmlExtractor → Tokenizer → url-dedup
                 (keep latest warc_ts) → tokenized corpus parquet
-                ``(docid, warc_ts, dl, terms, tfs)``.
+                ``(docid, warc_ts, dl, terms, tfs, chash, lang[, poss])``.
 2. ``stats``    global N/avgdl (tiny aggregate) + heavy-hitter term detection
-                from a file-sample (the ANALYZE analog,
-                /root/reference/src/execution/compiler/operator/analyze_translator.cpp).
-3. ``postings`` explode to (term, docid, tf, dl, bucket) → ONE
-                groupby(bucket) exchange → per-bucket vectorized encode →
-                per-bucket posting parquet with block-max metadata.
+                from a file-sample (the ANALYZE analog, the reference's
+                execution/compiler/operator/analyze_translator.cpp).
+2b/2c. sidecars ``doclens`` always, ``docvalues`` (lang) and
+                ``docvalues_ts`` (warc_ts) under ``docvalues=True``: one
+                writer (``build_docid_sidecar``) lays each out as
+                docid-sorted fixed-width memmap parts.
+3. ``postings`` explode to (term, docid, tf, dl, salt) → ONE hash exchange
+                on the bucket's LPT group → per-bucket vectorized encode →
+                per-bucket posting parquet with block-max metadata, then
+                the fold pass merges salted heavy-term sub-postings.
 
 The partitioned build is the reference's partitioned-aggregation pattern
 (thread-local tables → radix overflow partitions → per-partition merge,
-/root/reference/src/execution/sql/aggregation_hash_table.cpp:647-769) at
+the reference's execution/sql/aggregation_hash_table.cpp:647-769) at
 cluster scale.  Zipf skew is carried by the bucket count: a bucket holds at
 most (heaviest term's postings + its hash bucket's tail), and the per-bucket
 encoder is vectorized end-to-end so even a whole-corpus stopword list costs
 one lexsort + one varbyte pass.  (An earlier two-exchange design — salted
 pkey shuffle → segment encode → second bucket shuffle → merge — spent two
 sort barriers and an intermediate encode/decode to ship compressed segments
-through the second exchange; with the groupby keyed directly on the final
-bucket that exchange does not exist.)
+through the second exchange; with the exchange keyed directly on the final
+bucket's group that second exchange does not exist.)
 
 Scale notes (100 TB / 1e12 docs): docids here are 63-bit url hashes — a real
 deployment would widen to 128-bit to keep collision odds negligible;
@@ -39,6 +45,7 @@ import glob
 import hashlib
 import json
 import os
+import shutil
 import time
 
 import numpy as np
@@ -467,95 +474,162 @@ def compute_stats(
 
 
 # ---------------------------------------------------------------------------
-# epoch 2b: doclens sidecar (docid-sorted, memmap-able scorer state)
+# epochs 2b/2c: docid sidecars (docid-sorted fixed-width columns: doclens,
+# the lang docvalues, the warc_ts docvalues)
 # ---------------------------------------------------------------------------
 
-#: rows per doclens part file (12 B/row → ~96 MiB parts; each part is one
-#: docid-range shard a scorer actor can hold/mmap independently)
-_DOCLEN_PART_ROWS = 8 << 20
+#: rows per sidecar part file (12 B/row for doclens → ~96 MiB parts; each
+#: part is one docid-range shard a scorer actor can hold/mmap independently)
+_SIDECAR_PART_ROWS = 8 << 20
+
+#: the per-part metadata rows a sidecar's meta.json lists
+_PART_SCHEMA = pa.schema(
+    [("file", pa.string()), ("n", pa.int64()), ("lo", pa.int64()), ("hi", pa.int64())]
+)
 
 
-def _write_doclen_part(did: np.ndarray, dl: np.ndarray, out_dir: str) -> dict:
-    """Atomically write one docid-range doclen part.
+def _write_sidecar_parts(
+    did: np.ndarray, val: np.ndarray, out_dir: str, part_rows: int
+) -> list[dict]:
+    """Atomically write docid-sorted ``(did, val)`` as parts of at most
+    ``part_rows`` rows, each ``int64 docid[n] ++ val[n]`` (``val`` already
+    in its little-endian on-disk dtype).
 
-    The name derives from the range's first docid, so task retries and
-    build re-runs overwrite the same file idempotently (ranges are
-    disjoint, so names cannot collide across parts)."""
-    name = f"part-{int(did[0]):020d}.bin"
-    tmp = os.path.join(out_dir, f"{name}.tmp-{os.getpid()}")
-    with open(tmp, "wb") as f:
-        f.write(np.ascontiguousarray(did, dtype="<i8").tobytes())
-        f.write(np.ascontiguousarray(dl, dtype="<i4").tobytes())
-    os.replace(tmp, os.path.join(out_dir, name))
-    return {"file": name, "n": int(len(did)), "lo": int(did[0]), "hi": int(did[-1])}
+    A part's name derives from its first docid, so task retries and build
+    re-runs overwrite the same file idempotently (ranges are disjoint, so
+    names cannot collide across parts)."""
+    parts = []
+    for s in range(0, len(did), part_rows):
+        d, v = did[s : s + part_rows], val[s : s + part_rows]
+        name = f"part-{int(d[0]):020d}.bin"
+        tmp = os.path.join(out_dir, f"{name}.tmp-{os.getpid()}")
+        with open(tmp, "wb") as f:
+            f.write(np.ascontiguousarray(d, dtype="<i8").tobytes())
+            f.write(np.ascontiguousarray(v).tobytes())
+        os.replace(tmp, os.path.join(out_dir, name))
+        parts.append({"file": name, "n": int(len(d)), "lo": int(d[0]), "hi": int(d[-1])})
+    return parts
 
 
-def build_doclens(corpus_dir: str, doclens_dir: str) -> dict:
-    """Write the (docid, dl) map as docid-SORTED fixed-width binary parts.
+def _as_i64(col: pa.Array, column: str) -> np.ndarray:
+    """Integer, timestamp or date column → ``<i8`` epoch units."""
+    if col.null_count:
+        # a null would reach int64 via NaN as an arbitrary value
+        raise ValueError(
+            f"numeric docvalues column {column!r} has {col.null_count} null(s)"
+        )
+    t = col.type
+    if pa.types.is_date32(t):
+        # date32 -> int64 directly is ArrowNotImplemented on this
+        # pyarrow; hop through the storage type (days since epoch)
+        col = col.cast(pa.int32()).cast(pa.int64())
+    elif pa.types.is_timestamp(t) or pa.types.is_date64(t):
+        col = col.cast(pa.int64())
+    return np.asarray(col.to_numpy(zero_copy_only=False), dtype="<i8")
 
-    Scorers need dl for every docid a posting mentions; loading the whole
-    map per actor is the single-node memory bound the 1e12-doc target can't
-    pay (~16 TB).  This sidecar is the shard layout: contiguous docid-range
-    parts, each ``int64 docid[n] ++ int32 dl[n]``, listed with their ranges
-    in ``meta.json``.  BM25Index np.memmap's the parts — actor heap holds
-    only the pages a query actually touches, and a cluster deployment hands
-    each scorer actor its docid-range subset (DistributedBM25's scatter
-    path).  Small corpora sort driver-side; large ones run a Ray sort and
-    write every part INSIDE the sort's output tasks: sorted blocks are
-    disjoint contiguous docid ranges, so each task persists its range under
-    a range-derived name and only the tiny per-part metadata reaches the
+
+def build_docid_sidecar(corpus_dir: str, out_dir: str, column: str) -> dict:
+    """Write one corpus column as docid-SORTED fixed-width binary parts.
+
+    Scorers need dl for every docid a posting mentions, and filtered
+    retrieval needs a doc attribute for every candidate; loading a whole
+    map per actor is the single-node memory bound the 1e12-doc target
+    can't pay (~16 TB).  A sidecar is the shard layout instead: contiguous
+    docid-range parts, each ``int64 docid[n] ++ value[n]``, listed with
+    their ranges in ``meta.json``.  BM25Index np.memmap's the parts (the
+    ``bm25.DocidColumn`` reader) — actor heap holds only the pages a query
+    touches, and a cluster deployment hands each scorer actor its
+    docid-range subset (DistributedBM25's scatter path).
+
+    The value encoding follows the column:
+
+    - ``dl`` → ``<i4`` doc lengths (meta: parts only);
+    - a string column → ``<u2`` codes into a GLOBAL sorted dictionary
+      held in meta.json, 0xFFFF = null (Lucene DocValues analog; one tiny
+      distinct pass builds the dictionary, bounded by the NDV);
+    - any other column (integers, timestamps, dates) → ``<i8`` epoch
+      units, nulls rejected (Lucene NumericDocValues analog).
+
+    Small corpora sort driver-side; large ones run a Ray sort and write
+    every part INSIDE the sort's output tasks: sorted blocks are disjoint
+    contiguous docid ranges, so each task persists its range under a
+    range-derived name and only the tiny per-part metadata reaches the
     driver.  (An earlier version streamed the whole sorted map through the
     driver via iter_batches: O(batch) memory, but all of the payload --
-    ~12 TB at 1e12 docs -- through one process.)
+    ~12 TB of doclens at 1e12 docs -- through one process.)  Both paths
+    write the same decoded map.
     """
-    os.makedirs(doclens_dir, exist_ok=True)
-    parts: list[dict] = []
+    import pyarrow.dataset as pads
+    import ray.data as rd
 
-    if _total_bytes(corpus_dir) < _DRIVER_SIDE_BYTES:
-        import pyarrow.dataset as pads
+    os.makedirs(out_dir, exist_ok=True)
+    part_rows = _SIDECAR_PART_ROWS  # read here: Ray tasks see the driver's value
+    corpus = pads.dataset(corpus_dir)
+    typ = corpus.schema.field(column).type
+    driver_side = _total_bytes(corpus_dir) < _DRIVER_SIDE_BYTES
+    if driver_side:
+        t = corpus.to_table(columns=["docid", column])
+        col = t.column(column).combine_chunks()
 
-        t = pads.dataset(corpus_dir).to_table(columns=["docid", "dl"])
-        d = t.column("docid").to_numpy(zero_copy_only=False).astype(np.int64)
-        l = t.column("dl").to_numpy(zero_copy_only=False).astype(np.int32)
-        order = np.argsort(d)
-        d, l = d[order], l[order]
-        for s in range(0, len(d), _DOCLEN_PART_ROWS):
-            parts.append(
-                _write_doclen_part(
-                    d[s : s + _DOCLEN_PART_ROWS],
-                    l[s : s + _DOCLEN_PART_ROWS],
-                    doclens_dir,
+    if column == "dl":
+        extra: dict = {}
+        encode = lambda c: np.asarray(c.to_numpy(zero_copy_only=False), dtype="<i4")  # noqa: E731
+    elif pa.types.is_string(typ) or pa.types.is_large_string(typ):
+        if driver_side:
+            values = pc.unique(col).to_pylist()
+        else:
+            # one tiny pass: per-block distinct values, unioned on the driver
+            values = [
+                r[column]
+                for r in rd.read_parquet(
+                    corpus_dir,
+                    columns=[column],
+                    override_num_blocks=_scan_blocks(corpus_dir, per_cpu=1),
                 )
+                .map_batches(
+                    lambda b: pa.table(
+                        {column: pc.unique(b.column(column).combine_chunks())}
+                    ),
+                    batch_format="pyarrow",
+                    batch_size=None,
+                    zero_copy_batch=True,
+                )
+                .take_all()
+            ]
+        dictionary = sorted({v for v in values if v is not None})
+        if len(dictionary) >= 0xFFFF:
+            raise ValueError(
+                f"docvalue column {column!r} has {len(dictionary)} distinct "
+                "values — the uint16 dictionary layout is for categorical "
+                "attributes"
             )
+        extra = {"column": column, "dict": dictionary}
+        value_set = pa.array(dictionary, type=typ)
+        encode = lambda c: np.asarray(  # noqa: E731
+            pc.fill_null(pc.index_in(c, value_set=value_set), 0xFFFF)
+            .to_numpy(zero_copy_only=False),
+            dtype="<u2",
+        )
     else:
-        import ray.data as rd
+        extra = {"column": column, "numeric": True}
+        encode = lambda c: _as_i64(c, column)  # noqa: E731
+
+    if driver_side:
+        d = t.column("docid").to_numpy(zero_copy_only=False).astype(np.int64)
+        v = encode(col)
+        order = np.argsort(d)
+        parts = _write_sidecar_parts(d[order], v[order], out_dir, part_rows)
+    else:
 
         def write_task(b: pa.Table) -> pa.Table:
-            cols = ("file", "n", "lo", "hi")
-            if b.num_rows == 0:
-                return pa.table(
-                    {
-                        "file": pa.array([], pa.string()),
-                        "n": pa.array([], pa.int64()),
-                        "lo": pa.array([], pa.int64()),
-                        "hi": pa.array([], pa.int64()),
-                    }
-                )
             d = b.column("docid").to_numpy(zero_copy_only=False).astype(np.int64)
-            l = b.column("dl").to_numpy(zero_copy_only=False).astype(np.int32)
-            rows = [
-                _write_doclen_part(
-                    d[s : s + _DOCLEN_PART_ROWS],
-                    l[s : s + _DOCLEN_PART_ROWS],
-                    doclens_dir,
-                )
-                for s in range(0, len(d), _DOCLEN_PART_ROWS)
-            ]
-            return pa.table({k: [r[k] for r in rows] for k in cols})
+            v = encode(b.column(column).combine_chunks())
+            rows = _write_sidecar_parts(d, v, out_dir, part_rows)
+            return pa.Table.from_pylist(rows, schema=_PART_SCHEMA)
 
         ds = rd.read_parquet(
             corpus_dir,
-            columns=["docid", "dl"],
+            columns=["docid", column],
             override_num_blocks=_scan_blocks(corpus_dir, per_cpu=1, floor_files=False),
         ).sort("docid")
         # Each sorted block is a contiguous, disjoint docid range (Ray sort
@@ -564,277 +638,11 @@ def build_doclens(corpus_dir: str, doclens_dir: str) -> dict:
             write_task, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
         ).take_all()
         parts = sorted(
-            ({k: r[k] for k in ("file", "n", "lo", "hi")} for r in meta_rows),
+            ({k: r[k] for k in _PART_SCHEMA.names} for r in meta_rows),
             key=lambda r: r["lo"],
         )
-    meta = {"parts": parts, "n": sum(p["n"] for p in parts)}
-    mp = os.path.join(doclens_dir, "meta.json")
-    with open(mp + ".tmp", "w") as f:
-        json.dump(meta, f)
-    os.replace(mp + ".tmp", mp)
-    return meta
-
-
-# ---------------------------------------------------------------------------
-# epoch 2c: docvalues sidecar (docid-sorted categorical doc attributes —
-# the forward index for filtered retrieval; Lucene DocValues analog)
-# ---------------------------------------------------------------------------
-
-
-def _write_docvalue_part(did: np.ndarray, code: np.ndarray, out_dir: str) -> dict:
-    """Atomically write one docid-range docvalue part:
-    ``int64 docid[n] ++ uint16 code[n]`` (same naming/idempotency contract
-    as ``_write_doclen_part``)."""
-    name = f"part-{int(did[0]):020d}.bin"
-    tmp = os.path.join(out_dir, f"{name}.tmp-{os.getpid()}")
-    with open(tmp, "wb") as f:
-        f.write(np.ascontiguousarray(did, dtype="<i8").tobytes())
-        f.write(np.ascontiguousarray(code, dtype="<u2").tobytes())
-    os.replace(tmp, os.path.join(out_dir, name))
-    return {"file": name, "n": int(len(did)), "lo": int(did[0]), "hi": int(did[-1])}
-
-
-def _write_numeric_docvalue_part(
-    did: np.ndarray, val: np.ndarray, out_dir: str
-) -> dict:
-    """Numeric variant of ``_write_docvalue_part``:
-    ``int64 docid[n] ++ int64 value[n]`` (same naming/idempotency)."""
-    name = f"part-{int(did[0]):020d}.bin"
-    tmp = os.path.join(out_dir, f"{name}.tmp-{os.getpid()}")
-    with open(tmp, "wb") as f:
-        f.write(np.ascontiguousarray(did, dtype="<i8").tobytes())
-        f.write(np.ascontiguousarray(val, dtype="<i8").tobytes())
-    os.replace(tmp, os.path.join(out_dir, name))
-    return {"file": name, "n": int(len(did)), "lo": int(did[0]), "hi": int(did[-1])}
-
-
-def build_numeric_docvalues(
-    corpus_dir: str, dv_dir: str, column: str = "warc_ts"
-) -> dict:
-    """NUMERIC docvalues sidecar (Lucene NumericDocValues analog):
-    docid-sorted ``int64 docid ++ int64 value`` parts for an integer-
-    valued doc attribute — timestamps here (the corpus ``warc_ts``
-    winner row's value, cast to epoch int64) — powering RANGE-filtered
-    retrieval (``BM25Index.search_filtered(ts_range=)``).  Same layout
-    discipline as ``build_docvalues``; no dictionary (values ARE the
-    payload).  16 B/doc, sharded like doclens at 1e12 docs.  The small/
-    large split mirrors ``build_doclens``; datetimes cast via pyarrow to
-    epoch units so driver-side and Ray-sort builds agree bit-for-bit."""
-    os.makedirs(dv_dir, exist_ok=True)
-    parts: list[dict] = []
-
-    def _as_i64(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
-        if col.null_count:
-            # a null would reach int64 via NaN as an arbitrary value
-            raise ValueError(
-                f"numeric docvalues column {column!r} has {col.null_count} null(s)"
-            )
-        t = col.type
-        if pa.types.is_date32(t):
-            # date32 -> int64 directly is ArrowNotImplemented on this
-            # pyarrow; hop through the storage type (days since epoch)
-            col = col.cast(pa.int32()).cast(pa.int64())
-        elif pa.types.is_timestamp(t) or pa.types.is_date64(t):
-            col = col.cast(pa.int64())
-        return np.asarray(
-            col.to_numpy(zero_copy_only=False), dtype=np.int64
-        )
-
-    if _total_bytes(corpus_dir) < _DRIVER_SIDE_BYTES:
-        import pyarrow.dataset as pads
-
-        t = pads.dataset(corpus_dir).to_table(columns=["docid", column])
-        d = t.column("docid").to_numpy(zero_copy_only=False).astype(np.int64)
-        v = _as_i64(t.column(column).combine_chunks())
-        order = np.argsort(d)
-        d, v = d[order], v[order]
-        for s in range(0, len(d), _DOCLEN_PART_ROWS):
-            parts.append(
-                _write_numeric_docvalue_part(
-                    d[s : s + _DOCLEN_PART_ROWS],
-                    v[s : s + _DOCLEN_PART_ROWS],
-                    dv_dir,
-                )
-            )
-    else:
-        import ray.data as rd
-
-        def write_task(b: pa.Table) -> pa.Table:
-            cols = ("file", "n", "lo", "hi")
-            if b.num_rows == 0:
-                return pa.table(
-                    {
-                        "file": pa.array([], pa.string()),
-                        "n": pa.array([], pa.int64()),
-                        "lo": pa.array([], pa.int64()),
-                        "hi": pa.array([], pa.int64()),
-                    }
-                )
-            d = b.column("docid").to_numpy(zero_copy_only=False).astype(np.int64)
-            v = _as_i64(b.column(column).combine_chunks())
-            rows = [
-                _write_numeric_docvalue_part(
-                    d[s : s + _DOCLEN_PART_ROWS],
-                    v[s : s + _DOCLEN_PART_ROWS],
-                    dv_dir,
-                )
-                for s in range(0, len(d), _DOCLEN_PART_ROWS)
-            ]
-            return pa.table({k: [r[k] for r in rows] for k in cols})
-
-        ds = rd.read_parquet(
-            corpus_dir,
-            columns=["docid", column],
-            override_num_blocks=_scan_blocks(corpus_dir, per_cpu=1, floor_files=False),
-        ).sort("docid")
-        meta_rows = ds.map_batches(
-            write_task, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        ).take_all()
-        parts = sorted(
-            ({k: r[k] for k in ("file", "n", "lo", "hi")} for r in meta_rows),
-            key=lambda r: r["lo"],
-        )
-    meta = {
-        "column": column,
-        "numeric": True,
-        "parts": parts,
-        "n": sum(p["n"] for p in parts),
-    }
-    mp = os.path.join(dv_dir, "meta.json")
-    with open(mp + ".tmp", "w") as f:
-        json.dump(meta, f)
-    os.replace(mp + ".tmp", mp)
-    return meta
-
-
-def build_docvalues(corpus_dir: str, dv_dir: str, column: str = "lang") -> dict:
-    """Write a categorical doc attribute as docid-SORTED fixed-width parts
-    (dictionary-coded uint16 + the code dictionary in meta.json) — the
-    doclens layout applied to a doc ATTRIBUTE, so filtered retrieval
-    (``BM25Index.search_filtered``) masks candidates with the same
-    memmap-gather discipline scoring uses for dl, and each scoring shard
-    touches only its own docid range's attribute pages (never a corpus
-    text read, never a whole-map heap load).
-
-    The dictionary is GLOBAL and sorted (deterministic codes).  Small
-    corpora sort driver-side; large ones reuse the build_doclens shape:
-    a tiny distinct pass for the dictionary (categorical: bounded output
-    regardless of corpus size), then a Ray sort whose output tasks write
-    their disjoint docid-range parts in place.  10 B/doc → ~10 TB at 1e12
-    docs, sharded exactly like the 12 TB doclens sidecar."""
-    os.makedirs(dv_dir, exist_ok=True)
-    parts: list[dict] = []
-
-    if _total_bytes(corpus_dir) < _DRIVER_SIDE_BYTES:
-        import pyarrow.dataset as pads
-
-        t = pads.dataset(corpus_dir).to_table(columns=["docid", column])
-        d = t.column("docid").to_numpy(zero_copy_only=False).astype(np.int64)
-        vals = np.asarray(t.column(column).to_pylist(), dtype=object)
-        dictionary = sorted({v for v in vals.tolist() if v is not None})
-        if len(dictionary) >= 0xFFFF:
-            raise ValueError(
-                f"docvalue column {column!r} has {len(dictionary)} distinct "
-                "values — the uint16 dictionary layout is for categorical "
-                "attributes"
-            )
-        code_of = {v: i for i, v in enumerate(dictionary)}
-        codes = np.fromiter(
-            (code_of.get(v, 0xFFFF) for v in vals.tolist()),  # 0xFFFF = null
-            dtype=np.uint16,
-            count=len(vals),
-        )
-        order = np.argsort(d)
-        d, codes = d[order], codes[order]
-        for s in range(0, len(d), _DOCLEN_PART_ROWS):
-            parts.append(
-                _write_docvalue_part(
-                    d[s : s + _DOCLEN_PART_ROWS],
-                    codes[s : s + _DOCLEN_PART_ROWS],
-                    dv_dir,
-                )
-            )
-    else:
-        import ray
-        import ray.data as rd
-
-        # pass 1 (tiny): global dictionary — per-block distinct values union
-        # on the driver; categorical, so the result is bounded by NDV
-        distinct_parts = (
-            rd.read_parquet(
-                corpus_dir,
-                columns=[column],
-                override_num_blocks=_scan_blocks(corpus_dir, per_cpu=1),
-            )
-            .map_batches(
-                lambda b: pa.table(
-                    {column: pc.unique(b.column(column).combine_chunks())}
-                ),
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
-            )
-            .take_all()
-        )
-        dictionary = sorted(
-            {r[column] for r in distinct_parts if r[column] is not None}
-        )
-        if len(dictionary) >= 0xFFFF:
-            raise ValueError(
-                f"docvalue column {column!r} has {len(dictionary)} distinct "
-                "values — the uint16 dictionary layout is for categorical "
-                "attributes"
-            )
-        dict_ref = ray.put({v: i for i, v in enumerate(dictionary)})
-
-        def write_task(b: pa.Table) -> pa.Table:
-            cols = ("file", "n", "lo", "hi")
-            if b.num_rows == 0:
-                return pa.table(
-                    {
-                        "file": pa.array([], pa.string()),
-                        "n": pa.array([], pa.int64()),
-                        "lo": pa.array([], pa.int64()),
-                        "hi": pa.array([], pa.int64()),
-                    }
-                )
-            code_of = _get_broadcast(dict_ref)
-            d = b.column("docid").to_numpy(zero_copy_only=False).astype(np.int64)
-            vals = b.column(column).to_pylist()
-            codes = np.fromiter(
-                (code_of.get(v, 0xFFFF) for v in vals),
-                dtype=np.uint16,
-                count=len(vals),
-            )
-            rows = [
-                _write_docvalue_part(
-                    d[s : s + _DOCLEN_PART_ROWS],
-                    codes[s : s + _DOCLEN_PART_ROWS],
-                    dv_dir,
-                )
-                for s in range(0, len(d), _DOCLEN_PART_ROWS)
-            ]
-            return pa.table({k: [r[k] for r in rows] for k in cols})
-
-        ds = rd.read_parquet(
-            corpus_dir,
-            columns=["docid", column],
-            override_num_blocks=_scan_blocks(corpus_dir, per_cpu=1, floor_files=False),
-        ).sort("docid")
-        meta_rows = ds.map_batches(
-            write_task, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-        ).take_all()
-        parts = sorted(
-            ({k: r[k] for k in ("file", "n", "lo", "hi")} for r in meta_rows),
-            key=lambda r: r["lo"],
-        )
-    meta = {
-        "column": column,
-        "dict": dictionary,
-        "parts": parts,
-        "n": sum(p["n"] for p in parts),
-    }
-    mp = os.path.join(dv_dir, "meta.json")
+    meta = {**extra, "parts": parts, "n": sum(p["n"] for p in parts)}
+    mp = os.path.join(out_dir, "meta.json")
     with open(mp + ".tmp", "w") as f:
         json.dump(meta, f)
     os.replace(mp + ".tmp", mp)
@@ -897,7 +705,7 @@ class _Exploder:
     """Corpus row → posting rows (term, docid, tf, dl, salt, bucket).
 
     ``bucket = term_hash % num_buckets`` is the term's FINAL layout bucket,
-    so the single groupby both co-locates every posting of a term and lands
+    so the single exchange both co-locates every posting of a term and lands
     it in the task that writes its bucket file.  (The earlier design ran a
     salted pkey shuffle → per-partition segment encode → a SECOND bucket
     shuffle → merge; the segment stage existed only to compress postings for
@@ -1247,12 +1055,12 @@ def _make_bucket_builder(
 
         Recomputes each row's layout bucket from (term, salt) with the same
         hashes the exploder used, sorts the group once by bucket, and runs
-        the vectorized per-bucket encoder on each contiguous slice.  When
-        the compact wire format dropped the ``salt`` column, it is
-        recomputed here too: salt is a pure function of
-        (term ∈ heavy_terms, docid, num_salts) — identical to _Exploder's
-        assignment, so outputs stay byte-identical to the sort exchange."""
-        g = group.drop_columns(["gkey"]).combine_chunks() if "gkey" in group.column_names else group.combine_chunks()
+        the vectorized per-bucket encoder on each contiguous slice.  The
+        compact wire format drops the ``salt`` column, so it is recomputed
+        here too: salt is a pure function of (term ∈ heavy_terms, docid,
+        num_salts) — identical to _Exploder's assignment, so a row lands in
+        the bucket the exploder routed it to."""
+        g = group.combine_chunks()
         if "bucket" in g.column_names:  # direct per-bucket input (tests)
             row_bucket = g.column("bucket").to_numpy(zero_copy_only=False).astype(np.int32)
             g = g.drop_columns(["bucket"])
@@ -1269,14 +1077,11 @@ def _make_bucket_builder(
                     (t in heavy_set for t in uniq), dtype=bool, count=len(uniq)
                 )
                 hm = heavy_u[codes]
-                if "salt" in g.column_names:
-                    salt = g.column("salt").to_numpy(zero_copy_only=False).astype(np.int32)
-                else:  # wire format v2: recompute (exploder's exact rule)
-                    salt = np.zeros(g.num_rows, dtype=np.int32)
-                    if hm.any():
-                        did = g.column("docid").to_numpy(zero_copy_only=False)
-                        salt[hm] = salt_of_docid(did[hm], num_salts)
-                    g = g.append_column("salt", pa.array(salt))
+                salt = np.zeros(g.num_rows, dtype=np.int32)
+                if hm.any():
+                    did = g.column("docid").to_numpy(zero_copy_only=False)
+                    salt[hm] = salt_of_docid(did[hm], num_salts)
+                g = g.append_column("salt", pa.array(salt))
                 if hm.any():
                     row_bucket[hm] = salted_bucket(
                         uh[codes[hm]], salt[hm], num_buckets
@@ -1318,7 +1123,6 @@ def build_postings(
     stats: dict,
     *,
     ef_threshold: int | None = None,
-    exchange: str = "hash",
 ):
     """Tokenized corpus → final per-bucket posting files in ONE exchange.
 
@@ -1332,33 +1136,28 @@ def build_postings(
     each split into num_salts sub-postings routed to distinct buckets; see
     _Exploder).
 
-    ``exchange="hash"`` (default) runs the exchange as a two-stage raw-task
-    hash shuffle: M explode tasks each return num_groups pre-partitioned
-    slices (``num_returns``), and one encode task per group gathers its
-    parts from every map task.  The Dataset API cannot express a
-    hash-partitioned co-location without imposing a global order — its
+    The exchange is a two-stage raw-task hash shuffle
+    (``_hash_exchange_postings``): M explode tasks each return num_groups
+    pre-partitioned slices (``num_returns``), and one encode task per group
+    gathers its parts from every map task.  The Dataset API cannot express
+    a hash-partitioned co-location without imposing a global order — its
     ``groupby`` exchange is sort-based, and the Sort operator carries a
-    measured cpu-count-INDEPENDENT serial floor (boundary sampling +
-    phase barriers: ~37 s at 7.68M docs vs ~12 s for the hash exchange,
-    quiet-host fits), which is exactly the term the N-vs-4N scaling
-    criterion cannot amortize.  Partitioning assumptions documented:
-    every posting of a (term, salt) maps to one group via
-    ``group_of[bucket(term, salt)]`` on both sides; map outputs live in
-    the object store until their group's encode consumes them (spills on
-    pressure, exactly like the built-in shuffle's blocks); a multi-node
-    deployment moves the same parts through plasma transfers.
-    ``exchange="sort"`` keeps the Ray Data ``groupby(gkey).map_groups``
-    plan (identical output files).
+    measured cpu-count-INDEPENDENT serial floor (boundary sampling + phase
+    barriers: ~37 s at 7.68M docs vs ~12 s for the hash exchange, quiet-host
+    fits), which is exactly the term the N-vs-4N scaling criterion cannot
+    amortize.  Partitioning assumptions: every posting of a (term, salt)
+    maps to one group via ``group_of[bucket(term, salt)]`` on both sides;
+    map outputs live in the object store until their group's encode
+    consumes them (spills on pressure, exactly like the built-in shuffle's
+    blocks); a multi-node deployment moves the same parts through plasma
+    transfers.
     """
-    import ray.data as rd
-
     num_buckets = stats["num_buckets"]
     # LPT-balanced exchange groups: FIXED count (a function of the data
     # layout, not the cluster size) so scaling legs run the identical job;
     # 64 groups keep every reduce task within the balance bound while the
-    # sort key cardinality stays tiny (sort-shuffle cost grows with key
-    # cardinality — 64 keys is ~free, 1024 raw buckets was not, and its
-    # range partitioning glommed heavy buckets into one straggler task)
+    # per-group task count stays small (1024 raw buckets as groups would
+    # mean 1024 encode tasks each fetching M tiny slices)
     num_groups = min(num_buckets, 64)
     mass = np.asarray(stats.get("bucket_mass", ()), dtype=np.float64)
     if len(mass) != num_buckets:
@@ -1381,31 +1180,7 @@ def build_postings(
         ),
         num_salts=stats.get("num_salts", 1),
     )
-
-    if exchange == "hash":
-        metrics_df = _hash_exchange_postings(corpus_dir, explode, builder, num_groups)
-        stats["salted_terms"] = fold_salted_postings(postings_dir, stats)
-        return metrics_df
-
-    cols = ["docid", "dl", "terms", "tfs"]
-    if stats.get("positions"):
-        cols.append("poss")
-    ds = rd.read_parquet(
-        corpus_dir,
-        columns=cols,
-        # shuffle input: ~1 block/cpu, NOT floored at the corpus file count
-        # (task-written corpora have hundreds of files; block count × reduce
-        # partitions drives the all-to-all's fetch overhead)
-        override_num_blocks=_scan_blocks(corpus_dir, per_cpu=1, floor_files=False),
-    )
-    ds = ds.map_batches(
-        explode,
-        batch_format="pyarrow",
-        batch_size=1024,
-        zero_copy_batch=True,
-    )
-    metrics = ds.groupby("gkey").map_groups(builder, batch_format="pyarrow")
-    metrics_df = metrics.to_pandas()
+    metrics_df = _hash_exchange_postings(corpus_dir, explode, builder, num_groups)
     stats["salted_terms"] = fold_salted_postings(postings_dir, stats)
     return metrics_df
 
@@ -1506,8 +1281,8 @@ def _pack_exchange(tab: pa.Table) -> pa.Table:
       - the routing-only ``gkey`` is dropped (the slice IS its group).
 
     Measured ~35 → ~9 B/posting on webtext (tools/exchange_bytes.py); the
-    bucket builder's output is byte-identical (asserted vs
-    ``exchange='sort'``, which ships unpacked exploder rows)."""
+    (term, docid, tf, dl) row multiset round-trips exactly (tested), so the
+    bucket builder sees the rows the exploder produced."""
     tab = tab.combine_chunks()
     n = tab.num_rows
     docid = tab.column("docid").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1956,7 +1731,6 @@ def build_index(
     batch_size: int = 512,
     ef_threshold: int | None = None,
     force: bool = False,
-    exchange: str = "hash",
     positions: bool = False,
     field: str = "body",
     docvalues: bool = False,
@@ -1978,11 +1752,11 @@ def build_index(
     (``BM25Index.positions_for``).  Size overhead is logged in
     stats['positions_bytes'].
 
-    ``docvalues=True`` additionally writes the epoch-2c attribute sidecar
-    (docid-sorted lang codes + dictionary) powering
-    ``BM25Index.search_filtered`` — opt-in and ADDITIVE: it has its own
-    fingerprinted epoch, so enabling it on an already-built index adds
-    just the sidecar."""
+    ``docvalues=True`` additionally writes the epoch-2c attribute sidecars
+    (docid-sorted lang codes + dictionary, and warc_ts values) powering
+    ``BM25Index.search_filtered`` — opt-in and ADDITIVE: each has its own
+    fingerprinted epoch, so enabling them on an already-built index adds
+    just the sidecars."""
     corpus_dir = os.path.join(out_dir, "corpus")
     postings_dir = os.path.join(out_dir, "postings")
     stats_path = os.path.join(out_dir, "stats.json")
@@ -1998,24 +1772,37 @@ def build_index(
     fp_in = _input_fingerprint(webtext_path, fp_extra)
     timings: dict[str, float] = {}
 
-    # epoch 1: corpus
-    if force or not epoch_done(out_dir, "corpus", fp_in):
-        t0 = time.perf_counter()
-        import shutil
+    def epoch(name: str, inputs: dict, run, clear: "tuple[str, ...]" = ()) -> None:
+        """Run one resumable epoch unless its manifest verifies.
 
-        shutil.rmtree(corpus_dir, ignore_errors=True)
-        # derived sidecars are corpus-derived: a corpus rebuild must take
-        # them down too, or a later docvalues=False build serves STALE
-        # attribute pages through has_docvalues (r5 session-2 review)
-        shutil.rmtree(os.path.join(out_dir, "docvalues"), ignore_errors=True)
-        shutil.rmtree(os.path.join(out_dir, "docvalues_ts"), ignore_errors=True)
+        ``clear`` dirs are removed first; ``run()`` returns the epoch's
+        (outputs, metrics).  The manifest is written last, so a killed run
+        restarts from the last committed epoch; the wall time lands in
+        ``timings["<name>_s"]`` only when the epoch ran."""
+        if not force and epoch_done(out_dir, name, inputs):
+            return
+        t0 = time.perf_counter()
+        for d in clear:
+            shutil.rmtree(d, ignore_errors=True)
+        outputs, metrics = run()
+        wall = time.perf_counter() - t0
+        finish_epoch(out_dir, name, inputs, outputs, metrics, wall)
+        timings[f"{name}_s"] = wall
+
+    def corpus_epoch():
         build_corpus(webtext_path, corpus_dir, batch_size=batch_size,
                      positions=positions, field=field)
-        wall = time.perf_counter() - t0
         outputs = sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
-        n_rows = sum(pq.read_metadata(f).num_rows for f in outputs)
-        finish_epoch(out_dir, "corpus", fp_in, outputs, {"rows": n_rows}, wall)
-        timings["corpus_s"] = wall
+        return outputs, {"rows": sum(pq.read_metadata(f).num_rows for f in outputs)}
+
+    # derived sidecars are corpus-derived: a corpus rebuild must take them
+    # down too, or a later docvalues=False build serves STALE attribute
+    # pages through has_docvalues
+    epoch("corpus", fp_in, corpus_epoch, clear=(
+        corpus_dir,
+        os.path.join(out_dir, "docvalues"),
+        os.path.join(out_dir, "docvalues_ts"),
+    ))
 
     # resolve auto layout knobs from the corpus itself (footer row count +
     # a one-file unique-terms sample); the RESOLVED ints go into the epoch
@@ -2043,11 +1830,8 @@ def build_index(
     if positions:
         params["positions"] = True
 
-    # epoch 2: stats
-    fp_corpus = _input_fingerprint(corpus_dir, {"params": params})
-    if force or not epoch_done(out_dir, "stats", fp_corpus):
-        t0 = time.perf_counter()
-        stats = compute_stats(
+    def stats_epoch():
+        st = compute_stats(
             corpus_dir,
             stats_path,
             num_buckets=num_buckets,
@@ -2055,39 +1839,20 @@ def build_index(
             heavy_min_df=heavy_min_df,
             positions=positions,
         )
-        wall = time.perf_counter() - t0
-        finish_epoch(
-            out_dir,
-            "stats",
-            fp_corpus,
-            [stats_path],
-            {"n_docs": stats["n_docs"], "heavy": len(stats["heavy_terms"])},
-            wall,
-        )
-        timings["stats_s"] = wall
+        return [stats_path], {"n_docs": st["n_docs"], "heavy": len(st["heavy_terms"])}
+
+    epoch("stats", _input_fingerprint(corpus_dir, {"params": params}), stats_epoch)
     with open(stats_path) as f:
         stats = json.load(f)
 
-    # epoch 2b: doclens sidecar (docid-sorted memmap shards for scorers)
-    doclens_dir = os.path.join(out_dir, "doclens")
-    fp_dl = _input_fingerprint(corpus_dir, {"stage": "doclens", "v": 1})
-    if force or not epoch_done(out_dir, "doclens", fp_dl):
-        t0 = time.perf_counter()
-        import shutil
-
-        shutil.rmtree(doclens_dir, ignore_errors=True)
-        meta = build_doclens(corpus_dir, doclens_dir)
-        wall = time.perf_counter() - t0
-        outputs = [os.path.join(doclens_dir, p["file"]) for p in meta["parts"]]
-        outputs.append(os.path.join(doclens_dir, "meta.json"))
-        finish_epoch(out_dir, "doclens", fp_dl, outputs, {"n": meta["n"]}, wall)
-        timings["doclens_s"] = wall
-
-    # epoch 2c: docvalues sidecar (categorical attribute forward index for
-    # filtered retrieval) — OPT-IN, like Lucene's per-field docvalues: the
-    # flagship build stays lean (no second corpus sort), and the sidecar is
-    # ADDITIVE — its own fingerprinted epoch on the same index dir, so
-    # enabling it later upgrades a cached index without rebuilding postings
+    # epochs 2b/2c: docid sidecars.  doclens (memmap shards for scorers)
+    # always; the docvalues pair (lang categorical forward index + warc_ts
+    # numeric, for filtered retrieval) is OPT-IN, like Lucene's per-field
+    # docvalues: the flagship build stays lean (no second corpus sort), and
+    # each sidecar is ADDITIVE — its own fingerprinted epoch on the same
+    # index dir, so enabling it later upgrades a cached index without
+    # rebuilding postings
+    sidecars = [("doclens", "dl", {"stage": "doclens", "v": 1})]
     if docvalues:
         corpus_files = sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
         if not corpus_files or "lang" not in pq.read_schema(corpus_files[0]).names:
@@ -2095,54 +1860,25 @@ def build_index(
                 "build_index(docvalues=True) needs a corpus with the lang "
                 "column (DML snapshot corpora lack it)"
             )
-        dv_dir = os.path.join(out_dir, "docvalues")
-        fp_dv = _input_fingerprint(
-            corpus_dir, {"stage": "docvalues", "v": 1, "column": "lang"}
-        )
-        if force or not epoch_done(out_dir, "docvalues", fp_dv):
-            t0 = time.perf_counter()
-            import shutil
+        sidecars += [
+            ("docvalues", "lang", {"stage": "docvalues", "v": 1, "column": "lang"}),
+            ("docvalues_ts", "warc_ts",
+             {"stage": "docvalues_ts", "v": 1, "column": "warc_ts"}),
+        ]
+    for name, column, fp_extra in sidecars:
+        side_dir = os.path.join(out_dir, name)
 
-            shutil.rmtree(dv_dir, ignore_errors=True)
-            meta = build_docvalues(corpus_dir, dv_dir, column="lang")
-            wall = time.perf_counter() - t0
-            outputs = [os.path.join(dv_dir, p["file"]) for p in meta["parts"]]
-            outputs.append(os.path.join(dv_dir, "meta.json"))
-            finish_epoch(
-                out_dir, "docvalues", fp_dv, outputs, {"n": meta["n"]}, wall
-            )
-            timings["docvalues_s"] = wall
-        # numeric sidecar (warc_ts) — range-filtered retrieval
-        ts_dir = os.path.join(out_dir, "docvalues_ts")
-        fp_ts = _input_fingerprint(
-            corpus_dir, {"stage": "docvalues_ts", "v": 1, "column": "warc_ts"}
-        )
-        if force or not epoch_done(out_dir, "docvalues_ts", fp_ts):
-            t0 = time.perf_counter()
-            import shutil
+        def sidecar_epoch(side_dir=side_dir, column=column):
+            meta = build_docid_sidecar(corpus_dir, side_dir, column)
+            outputs = [os.path.join(side_dir, p["file"]) for p in meta["parts"]]
+            return outputs + [os.path.join(side_dir, "meta.json")], {"n": meta["n"]}
 
-            shutil.rmtree(ts_dir, ignore_errors=True)
-            meta = build_numeric_docvalues(corpus_dir, ts_dir, column="warc_ts")
-            wall = time.perf_counter() - t0
-            outputs = [os.path.join(ts_dir, p["file"]) for p in meta["parts"]]
-            outputs.append(os.path.join(ts_dir, "meta.json"))
-            finish_epoch(
-                out_dir, "docvalues_ts", fp_ts, outputs, {"n": meta["n"]}, wall
-            )
-            timings["docvalues_ts_s"] = wall
+        epoch(name, _input_fingerprint(corpus_dir, fp_extra), sidecar_epoch,
+              clear=(side_dir,))
 
-    # epoch 3: postings
-    fp_post = _input_fingerprint(corpus_dir, {"params": params, "stage": "postings"})
-    if force or not epoch_done(out_dir, "postings", fp_post):
-        t0 = time.perf_counter()
-        import shutil
-
-        shutil.rmtree(postings_dir, ignore_errors=True)
-        # exchange choice affects execution only, never the output files —
-        # deliberately NOT part of the epoch fingerprint
+    def postings_epoch():
         bucket_metrics = build_postings(
-            corpus_dir, postings_dir, stats, ef_threshold=ef_threshold,
-            exchange=exchange,
+            corpus_dir, postings_dir, stats, ef_threshold=ef_threshold
         )
         if positions:  # log the positional sidecar's size overhead
             stats["positions_bytes"] = int(bucket_metrics["positions_bytes"].sum())
@@ -2151,25 +1887,24 @@ def build_index(
         with open(stats_path + ".tmp", "w") as f:
             json.dump(stats, f)
         os.replace(stats_path + ".tmp", stats_path)
-        wall = time.perf_counter() - t0
         outputs = sorted(glob.glob(os.path.join(postings_dir, "bucket-*.parquet")))
         outputs += sorted(glob.glob(os.path.join(postings_dir, "posbucket-*.parquet")))
         bucket_metrics.to_parquet(os.path.join(out_dir, "bucket_metrics.parquet"))
-        finish_epoch(
-            out_dir,
-            "postings",
-            fp_post,
-            outputs,
-            {
-                "buckets": len(outputs),
-                "n_terms": int(bucket_metrics["n_terms"].sum()),
-                "n_rows": int(bucket_metrics["n_rows"].sum()),
-                "n_postings": int(bucket_metrics["n_postings"].sum()),
-                "max_group_postings": int(bucket_metrics["max_group_postings"].max()),
-            },
-            wall,
-        )
-        timings["postings_s"] = wall
+        return outputs, {
+            "buckets": len(outputs),
+            "n_terms": int(bucket_metrics["n_terms"].sum()),
+            "n_rows": int(bucket_metrics["n_rows"].sum()),
+            "n_postings": int(bucket_metrics["n_postings"].sum()),
+            "max_group_postings": int(bucket_metrics["max_group_postings"].max()),
+        }
+
+    # epoch 3: postings
+    epoch(
+        "postings",
+        _input_fingerprint(corpus_dir, {"params": params, "stage": "postings"}),
+        postings_epoch,
+        clear=(postings_dir,),
+    )
 
     stats["timings"] = timings
     return stats

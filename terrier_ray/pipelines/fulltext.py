@@ -1003,19 +1003,12 @@ def bm25_filtered_topk(sf_dir: str, k: int = 10, num_queries: int = 10):
 
     idx = BM25Index(ensure_index(sf_dir, docvalues=True))
     # two most frequent dictionary values, deterministically: count codes
-    # over the sidecar parts (tiny: uint16 bincount per part)
-    idx._dv_load()
-    counts = np.zeros(len(idx._dv_dict), dtype=np.int64)
-    for _did, code in idx._dv_parts:
-        c = np.bincount(
-            np.asarray(code), minlength=max(len(idx._dv_dict), 0x10000)
-        )
-        counts += c[: len(idx._dv_dict)]
+    # over the whole sidecar (tiny: one uint16 bincount)
+    names = idx.docvalue_dict
+    counts = np.bincount(idx.docvalues.values(), minlength=0x10000)[: len(names)]
     top_langs = [
-        idx._dv_dict[i]
-        for i in sorted(
-            range(len(counts)), key=lambda i: (-int(counts[i]), idx._dv_dict[i])
-        )[:2]
+        names[i]
+        for i in sorted(range(len(names)), key=lambda i: (-int(counts[i]), names[i]))[:2]
     ]
     queries = generate_queries(num_queries)
     qids, qs, langs, ranks, docids, scores = [], [], [], [], [], []
@@ -1059,8 +1052,7 @@ def bm25_time_filtered_topk(sf_dir: str, k: int = 10, num_queries: int = 10):
     from terrier_ray.index.bm25 import BM25Index
 
     idx = BM25Index(ensure_index(sf_dir, docvalues=True))
-    idx._nv_load()
-    all_ts = np.concatenate([np.asarray(v) for _d, v in idx._nv_parts])
+    all_ts = idx.docvalues_ts.values()
     median = int(np.sort(all_ts)[len(all_ts) // 2])
     hi = int(all_ts.max()) + 1
     queries = generate_queries(num_queries)
@@ -1135,8 +1127,7 @@ def bm25_date_histogram(sf_dir: str, num_queries: int = 6, num_buckets: int = 8)
     from terrier_ray.index.bm25 import BM25Index
 
     idx = BM25Index(ensure_index(sf_dir, docvalues=True))
-    idx._nv_load()
-    all_ts = np.concatenate([np.asarray(v) for _d, v in idx._nv_parts])
+    all_ts = idx.docvalues_ts.values()
     span = int(all_ts.max()) - int(all_ts.min())
     interval = max(1, span // num_buckets)
     queries = generate_queries(num_queries)

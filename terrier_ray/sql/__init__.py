@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+import pyarrow as pa
 from ray.data import Dataset
 
 from terrier_ray.sql.lower import Catalog, lower, output_schema
@@ -60,14 +61,21 @@ class SelectResult(Dataset):
     Ray Data's ``to_pandas()`` gives a frame with no columns when a Dataset
     has no rows (its batcher drops empty blocks).  For a SELECT with no
     rows this one returns the SELECT list's names, typed as the query
-    yields them on non-empty input — DuckDB's empty-result shape.
-    Transformations return plain Datasets."""
+    yields them on non-empty input — DuckDB's empty-result shape.  A
+    column of NULLs with no type (a global aggregate over no rows: Ray
+    Data keeps no schema for empty blocks, so the aggregate cannot learn
+    its input's types) gets the same typing: SUM over no rows is a float64
+    NaN, as in DuckDB, not an object None.  The SELECT's schema is planned
+    only in those two cases.  Transformations return plain Datasets."""
 
     _select: "tuple[str, str, Any] | None" = None
 
     def to_pandas(self, limit: "int | None" = None):
         df = super().to_pandas(limit=limit)
-        if len(df.columns) or self._select is None:
+        if self._select is None:
+            return df
+        untyped = [c for c in df.columns if df[c].dtype == object and df[c].isna().all()]
+        if len(df.columns) and not untyped:
             return df
         from terrier_ray.sql.ast import bind_params
 
@@ -75,7 +83,12 @@ class SelectResult(Dataset):
         stmt = parse(query)
         if params is not None:
             stmt = bind_params(stmt, list(params))
-        return output_schema(stmt, Catalog(sf_dir)).empty_table().to_pandas()
+        schema = output_schema(stmt, Catalog(sf_dir))
+        if not len(df.columns):
+            return schema.empty_table().to_pandas()
+        for c in untyped:
+            df[c] = pa.array(df[c], type=schema.field(c).type).to_pandas()
+        return df
 
 
 def _select_result(ds: Dataset, query: str, sf_dir: str, params) -> SelectResult:

@@ -147,7 +147,7 @@ class Tokenizer:
         }
         if "lang" in batch.column_names:
             # categorical doc attribute carried into the corpus rows: the
-            # docvalues sidecar epoch (index/build.build_docvalues) turns it
+            # docvalues sidecar epoch (index/build.build_docid_sidecar) turns it
             # into the filtered-retrieval forward index (Lucene DocValues
             # analog); absent on inputs without it (DML snapshot corpora)
             cols["lang"] = batch.column("lang")

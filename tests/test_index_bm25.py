@@ -116,7 +116,7 @@ def test_bmw_pivot_tie_regression(built_index):
 
     out, _ = built_index
     idx = BM25Index(out)
-    cand = idx._dl_docids[:40].astype(np.uint64)  # real docids, sorted unique
+    cand = idx.doclens.docids()[:40].astype(np.uint64)  # real docids, sorted unique
 
     def wd(docid, tf):
         dl = float(idx.doc_len(np.asarray([int(docid)], dtype=np.int64))[0])
@@ -199,14 +199,25 @@ def test_resume_skips_epochs(built_index, webtext_small):
     assert stats2["timings"] == {}  # every epoch skipped via manifest
 
 
-def test_resume_rebuilds_missing_bucket(built_index, webtext_small):
+@pytest.mark.parametrize(
+    "victim_glob, epoch",
+    [
+        ("postings/bucket-*.parquet", "postings"),
+        ("doclens/part-*.bin", "doclens"),
+        ("docvalues/part-*.bin", "docvalues"),
+    ],
+    ids=["bucket", "doclens_part", "docvalues_part"],
+)
+def test_resume_rebuilds_missing_bucket(built_index, webtext_small, victim_glob, epoch):
+    """A committed epoch whose output file went missing re-runs on the
+    next build — that epoch only; every other epoch's manifest still
+    verifies and is skipped."""
     out, _ = built_index
-    victim = sorted(glob.glob(os.path.join(out, "postings", "bucket-*.parquet")))[0]
+    victim = sorted(glob.glob(os.path.join(out, victim_glob)))[0]
     os.remove(victim)
-    stats3 = build_index(webtext_small, out, num_buckets=4,
-                         num_salts=3, heavy_min_df=20)
-    assert "postings_s" in stats3["timings"]  # postings epoch re-ran
-    assert "corpus_s" not in stats3["timings"]  # corpus epoch still skipped
+    stats3 = build_index(webtext_small, out, num_buckets=4, num_salts=3,
+                         docvalues=True, heavy_min_df=20)
+    assert list(stats3["timings"]) == [f"{epoch}_s"]  # only that epoch re-ran
     assert os.path.exists(victim)
 
 
@@ -799,33 +810,6 @@ def test_exchange_wire_format_roundtrip():
     assert _unpack_exchange(empty).num_rows == 0
 
 
-def test_hash_exchange_matches_sort_exchange(ray_session, webtext_small, tmp_root):
-    """The raw-task hash exchange (default) and the Dataset sort exchange
-    must produce byte-identical bucket files — same terms, salts, dfs,
-    posting bytes, and block metadata in every bucket."""
-    import pyarrow.parquet as pq
-
-    dirs = {}
-    for ex in ("hash", "sort"):
-        out = os.path.join(str(tmp_root), f"idx_exchange_{ex}")
-        build_index(webtext_small, out, num_buckets=130, num_salts=3,
-                    heavy_min_df=20, exchange=ex)
-        dirs[ex] = out
-    h_files = sorted(
-        os.path.basename(f)
-        for f in glob.glob(os.path.join(dirs["hash"], "postings", "*.parquet"))
-    )
-    s_files = sorted(
-        os.path.basename(f)
-        for f in glob.glob(os.path.join(dirs["sort"], "postings", "*.parquet"))
-    )
-    assert h_files == s_files and h_files
-    for name in h_files:
-        th = pq.read_table(os.path.join(dirs["hash"], "postings", name))
-        ts = pq.read_table(os.path.join(dirs["sort"], "postings", name))
-        assert th.equals(ts), name
-
-
 def test_doclens_sidecar_memmap(built_index):
     """Scorer doclen state is a docid-sorted memmap sidecar (O(touched
     pages) per actor, not O(N) heap), exact vs the corpus scan."""
@@ -835,7 +819,7 @@ def test_doclens_sidecar_memmap(built_index):
     out, _ = built_index
     assert os.path.exists(os.path.join(out, "doclens", "meta.json"))
     idx = BM25Index(out)
-    assert all(isinstance(d, np.memmap) for d, _ in idx._dl_parts)
+    assert all(isinstance(d, np.memmap) for d, _ in idx.doclens.parts)
     corpus = pads.dataset(os.path.join(out, "corpus")).to_table(
         columns=["docid", "dl"]
     )
@@ -846,10 +830,19 @@ def test_doclens_sidecar_memmap(built_index):
     assert got.dtype == np.float64
 
 
-def test_doclens_distributed_path_identical(built_index, tmp_root, monkeypatch):
-    """The large-corpus doclen path (Ray sort + in-task part writes) must
-    produce byte-identical content to the driver-side sort, and never move
-    the payload through the driver."""
+@pytest.mark.parametrize(
+    "name, column, dtype",
+    [("doclens", "dl", "<i4"), ("docvalues", "lang", "<u2"),
+     ("docvalues_ts", "warc_ts", "<i8")],
+    ids=["doclens", "docvalues", "docvalues_ts"],
+)
+def test_sidecar_distributed_path_identical(
+    built_index, ray_session, tmp_root, monkeypatch, name, column, dtype
+):
+    """The large-corpus sidecar path (Ray sort + in-task part writes) must
+    write the same decoded docid→value map (and the same dictionary) as
+    the driver-side sort, in disjoint ascending parts, and never move the
+    payload through the driver."""
     import json
 
     import numpy as np
@@ -859,38 +852,55 @@ def test_doclens_distributed_path_identical(built_index, tmp_root, monkeypatch):
     out, _ = built_index
     corpus_dir = os.path.join(out, "corpus")
 
-    def read_all(doclens_dir):
-        with open(os.path.join(doclens_dir, "meta.json")) as f:
+    def read_all(side_dir):
+        with open(os.path.join(side_dir, "meta.json")) as f:
             meta = json.load(f)
-        dids, dls = [], []
+        dids, vals = [], []
         prev_hi = -1
         for p in meta["parts"]:
-            fp = os.path.join(doclens_dir, p["file"])
+            fp = os.path.join(side_dir, p["file"])
             n = p["n"]
             did = np.fromfile(fp, dtype="<i8", count=n)
-            dl = np.fromfile(fp, dtype="<i4", offset=8 * n, count=n)
+            val = np.fromfile(fp, dtype=dtype, offset=8 * n, count=n)
             assert p["lo"] == int(did[0]) and p["hi"] == int(did[-1])
             assert p["lo"] > prev_hi, "parts must be disjoint ascending ranges"
             prev_hi = p["hi"]
             dids.append(did)
-            dls.append(dl)
-        return meta["n"], np.concatenate(dids), np.concatenate(dls)
+            vals.append(val)
+        return meta, np.concatenate(dids), np.concatenate(vals)
 
-    drv_dir = os.path.join(str(tmp_root), "doclens_driver")
-    build_mod.build_doclens(corpus_dir, drv_dir)
+    drv_dir = os.path.join(str(tmp_root), f"{name}_driver")
+    build_mod.build_docid_sidecar(corpus_dir, drv_dir, column)
 
     # force the distributed branch with small in-task parts (splits inside
     # a single sorted block are exercised too)
     monkeypatch.setattr(build_mod, "_DRIVER_SIDE_BYTES", 0)
-    monkeypatch.setattr(build_mod, "_DOCLEN_PART_ROWS", 64)
-    dist_dir = os.path.join(str(tmp_root), "doclens_dist")
-    build_mod.build_doclens(corpus_dir, dist_dir)
+    monkeypatch.setattr(build_mod, "_SIDECAR_PART_ROWS", 64)
+    dist_dir = os.path.join(str(tmp_root), f"{name}_dist")
+    build_mod.build_docid_sidecar(corpus_dir, dist_dir, column)
 
-    n_a, d_a, l_a = read_all(drv_dir)
-    n_b, d_b, l_b = read_all(dist_dir)
-    assert n_a == n_b
+    meta_a, d_a, v_a = read_all(drv_dir)
+    meta_b, d_b, v_b = read_all(dist_dir)
+    assert len(meta_b["parts"]) > 1
+    assert meta_a["n"] == meta_b["n"] == len(d_a)
+    assert meta_a.get("dict") == meta_b.get("dict")
     assert np.array_equal(d_a, d_b)
-    assert np.array_equal(l_a, l_b)
+    assert np.array_equal(v_a, v_b)
+    # the driver-side build is the one build_index wrote
+    _, d_idx, v_idx = read_all(os.path.join(out, name))
+    assert np.array_equal(d_a, d_idx) and np.array_equal(v_a, v_idx)
+
+
+def test_index_without_doclens_sidecar_raises(built_index, tmp_root):
+    """Every index build_index writes has a doclens epoch; a directory
+    without the sidecar is not a servable index and fails to open."""
+    import shutil
+
+    out, _ = built_index
+    broken = os.path.join(str(tmp_root), "idx_no_doclens")
+    shutil.copytree(out, broken, ignore=shutil.ignore_patterns("doclens"))
+    with pytest.raises(FileNotFoundError, match="doclens"):
+        BM25Index(broken)
 
 
 def test_distributed_sharded_rank_identical(built_index):
@@ -1110,7 +1120,7 @@ def test_pruned_tied_finalist_cut(ray_session, tmp_root):
     pruned = idx.search_pruned("tietok", k)
     assert pruned == exact, (pruned, exact)
     # the canonical winners are the k SMALLEST docids of the tied set
-    all_docids = sorted(int(x) for x in idx._dl_docids)
+    all_docids = sorted(int(x) for x in idx.doclens.docids())
     assert [d for d, _ in exact] == all_docids[:k]
     scores = {s for _, s in exact}
     assert len(scores) == 1  # genuinely tied
@@ -1181,43 +1191,6 @@ def test_distributed_filtered_identical_to_local(built_index, ray_session):
         assert got == want, lang
 
 
-def test_build_docvalues_distributed_path_identical(
-    built_index, ray_session, tmp_root, monkeypatch
-):
-    """The Ray-sort docvalues build (the >threshold path) must produce the
-    same dictionary and the same docid->code mapping as the driver-side
-    sort (parts may split differently; the decoded map is the contract)."""
-    import json
-
-    import terrier_ray.index.build as bld
-
-    out, _ = built_index
-    corpus = os.path.join(out, "corpus")
-    dv2 = os.path.join(str(tmp_root), "dv_distributed")
-    monkeypatch.setattr(bld, "_DRIVER_SIDE_BYTES", 0)
-    meta2 = bld.build_docvalues(corpus, dv2, column="lang")
-    with open(os.path.join(out, "docvalues", "meta.json")) as f:
-        meta1 = json.load(f)
-    assert meta2["dict"] == meta1["dict"]
-    assert meta2["n"] == meta1["n"]
-
-    def decode(dv_dir, meta):
-        import numpy as np
-
-        pairs = []
-        for p in meta["parts"]:
-            fp = os.path.join(dv_dir, p["file"])
-            n = p["n"]
-            with open(fp, "rb") as f:
-                buf = f.read()
-            did = np.frombuffer(buf, dtype="<i8", count=n)
-            code = np.frombuffer(buf, dtype="<u2", offset=8 * n, count=n)
-            pairs.extend(zip(did.tolist(), code.tolist()))
-        return sorted(pairs)
-
-    assert decode(dv2, meta2) == decode(os.path.join(out, "docvalues"), meta1)
-
-
 def test_bm25_filtered_topk_entry(ray_session, sf_smoke):
     from terrier_ray.pipelines.fulltext import bm25_filtered_topk
 
@@ -1249,7 +1222,7 @@ def test_facet_sidecar_equals_winner_fetch(ray_session, sf_smoke):
 
     idx = BM25Index(ensure_index(sf_smoke, docvalues=True))
     web = webtext_for_sf(sf_smoke)
-    need = sorted(int(d) for d in idx._dl_docids[:200])
+    need = sorted(int(d) for d in idx.doclens.docids()[:200])
     winners = _fetch_indexed_winners(web, need, extra_cols=("lang",))
     want = dict(
         zip(winners.column("docid").to_pylist(), winners.column("lang").to_pylist())
@@ -1292,8 +1265,7 @@ def test_ts_range_filter_identical_to_post_filter(built_index, ray_session):
 
     out, _ = built_index
     idx = BM25Index(out)
-    idx._nv_load()
-    all_ts = np.concatenate([np.asarray(v) for _d, v in idx._nv_parts])
+    all_ts = idx.docvalues_ts.values()
     lo = int(np.sort(all_ts)[len(all_ts) // 3])
     hi = int(np.sort(all_ts)[2 * len(all_ts) // 3])
     dist = DistributedBM25(out)
@@ -1354,8 +1326,7 @@ def test_bm25_time_filtered_topk_entry(ray_session, sf_smoke):
     assert tab.num_rows > 0
     # every hit's sidecar ts is in the newer half
     idx = BM25Index(ensure_index(sf_smoke))
-    idx._nv_load()
-    all_ts = np.concatenate([np.asarray(v) for _d, v in idx._nv_parts])
+    all_ts = idx.docvalues_ts.values()
     median = int(np.sort(all_ts)[len(all_ts) // 2])
     hits = tab.column("docid").to_numpy(zero_copy_only=False)
     assert (idx.numeric_docvalue(hits) >= median).all()
@@ -1460,7 +1431,7 @@ def test_sharded_filter_raises_without_sidecar(ray_session, webtext_small, tmp_r
     search_filtered: no docvalues sidecar raises, never a silent []."""
     from terrier_ray.index.bm25 import DistributedBM25
 
-    out = os.path.join(str(tmp_root), "idx_no_dv_sharded")
+    out = os.path.join(str(tmp_root), "idx_nodocvalues_sharded")
     build_index(webtext_small, out, num_buckets=4, num_salts=1)
     with pytest.raises(ValueError, match="docvalues"):
         DistributedBM25(out).search_many_sharded(
@@ -1469,14 +1440,14 @@ def test_sharded_filter_raises_without_sidecar(ray_session, webtext_small, tmp_r
 
 
 def test_numeric_docvalues_date32_cast(tmp_root):
-    """build_numeric_docvalues must handle date32-typed columns (direct
+    """The numeric sidecar must handle date32-typed columns (direct
     date32->int64 casts are unimplemented in this pyarrow; the builder
     hops through the storage type)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from terrier_ray.index.build import build_numeric_docvalues
+    from terrier_ray.index.build import build_docid_sidecar
 
     src = os.path.join(str(tmp_root), "dv_date32_corpus")
     os.makedirs(src, exist_ok=True)
@@ -1488,7 +1459,7 @@ def test_numeric_docvalues_date32_cast(tmp_root):
     )
     pq.write_table(tab, os.path.join(src, "part-0.parquet"))
     dv = os.path.join(str(tmp_root), "dv_date32_out")
-    meta = build_numeric_docvalues(src, dv, column="warc_ts")
+    meta = build_docid_sidecar(src, dv, "warc_ts")
     assert meta["n"] == 3
     with open(os.path.join(dv, meta["parts"][0]["file"]), "rb") as f:
         buf = f.read()
@@ -1504,7 +1475,7 @@ def test_numeric_docvalues_rejects_null(tmp_root):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from terrier_ray.index.build import build_numeric_docvalues
+    from terrier_ray.index.build import build_docid_sidecar
 
     src = os.path.join(str(tmp_root), "dv_null_corpus")
     os.makedirs(src, exist_ok=True)
@@ -1516,4 +1487,4 @@ def test_numeric_docvalues_rejects_null(tmp_root):
     )
     pq.write_table(tab, os.path.join(src, "part-0.parquet"))
     with pytest.raises(ValueError, match="null"):
-        build_numeric_docvalues(src, os.path.join(str(tmp_root), "dv_null_out"))
+        build_docid_sidecar(src, os.path.join(str(tmp_root), "dv_null_out"), "warc_ts")

@@ -409,17 +409,21 @@ def test_sql_matches_duckdb_exactly(ray_session, sf_smoke, query):
             assert (a.astype(str).values == b.astype(str).values).all(), c
 
 
+#: (query over no input rows, rows it returns)
 EMPTY = [
-    "SELECT o_orderkey, o_totalprice FROM orders WHERE o_totalprice < 0",
-    """SELECT o_orderpriority, count(*) AS n FROM orders
-       WHERE o_totalprice < 0 GROUP BY o_orderpriority""",
+    ("SELECT o_orderkey, o_totalprice FROM orders WHERE o_totalprice < 0", 0),
+    ("""SELECT o_orderpriority, count(*) AS n FROM orders
+       WHERE o_totalprice < 0 GROUP BY o_orderpriority""", 0),
+    ("""SELECT sum(o_totalprice) AS s, avg(o_totalprice) AS a, sum(o_custkey) AS c
+       FROM orders WHERE o_totalprice < 0""", 1),
 ]
 
 
-@pytest.mark.parametrize("query", EMPTY, ids=["filter", "group_by"])
-def test_sql_empty_result_keeps_select_schema(ray_session, sf_smoke, query):
-    """No rows still means the SELECT list's columns, typed as DuckDB
-    types them (Ray Data alone returns a frame with no columns)."""
+@pytest.mark.parametrize("query, n_rows", EMPTY, ids=["filter", "group_by", "global_agg"])
+def test_sql_empty_result_keeps_select_schema(ray_session, sf_smoke, query, n_rows):
+    """No input rows still means the SELECT list's columns, typed as DuckDB
+    types them (Ray Data alone returns a frame with no columns); a global
+    aggregate over no rows is one row of typed NULLs (NaN), not objects."""
     import duckdb
 
     con = duckdb.connect()
@@ -428,9 +432,10 @@ def test_sql_empty_result_keeps_select_schema(ray_session, sf_smoke, query):
     )
     mine = sql(query, sf_smoke).to_pandas()
     want = con.sql(query).df()
-    assert len(mine) == len(want) == 0
+    assert len(mine) == len(want) == n_rows
     assert list(mine.columns) == list(want.columns)
     assert [str(t) for t in mine.dtypes] == [str(t) for t in want.dtypes]
+    assert mine.isna().all().all() and want.isna().all().all()
 
 
 def test_sql_explain_shows_pushed_plan(sf_smoke):
