@@ -147,12 +147,6 @@ def run_bench() -> dict:
     lats_ms = np.asarray(lats) * 1000
     p50, p99 = float(np.percentile(lats_ms, 50)), float(np.percentile(lats_ms, 99))
 
-    # block-max WAND DAAT path (the huge-index algorithm; pruning-correct)
-    t0 = time.perf_counter()
-    for q in lat_sample[:50]:
-        idx.search_bmw(q, 10)
-    results["query_bmw50"] = round(time.perf_counter() - t0, 3)
-
     # MaxScore-pruned path on stopword-heavy queries (the Zipf serving case)
     stop_sample = [q + " the of and" for q in lat_sample[:50]]
     t0 = time.perf_counter()

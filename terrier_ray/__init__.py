@@ -14,7 +14,7 @@ Layout
 - ``terrier_ray.datagen``   deterministic synthetic webtext + query fixtures
 - ``terrier_ray.extract``   HTML→text extraction (reference + pipeline stage)
 - ``terrier_ray.text``      tokenization, language-ID, quality, fingerprints
-- ``terrier_ray.index``     posting codec, index build, BM25 / block-max WAND
+- ``terrier_ray.index``     posting codec, index build, BM25 (exact / MaxScore)
 - ``terrier_ray.ops``       relational operators over Datasets (scan/filter/
                             join/aggregate/sort/topk — SURVEY.md §2 parity)
 - ``terrier_ray.pipelines`` end-user pipelines (TPC-H-ish, dedup, similarity,

@@ -1,4 +1,4 @@
-"""BM25 retrieval over the built index: exact TAAT and Block-Max WAND DAAT.
+"""BM25 retrieval over the built index: exact TAAT and MaxScore-pruned TAAT.
 
 Scoring formula (pinned; the pure-Python oracle re-implements it
 independently in terrier_ray/index/oracle.py):
@@ -9,8 +9,15 @@ independently in terrier_ray/index/oracle.py):
     k1 = 1.2, b = 0.75 (classic defaults)
 
 Rank order: score descending, docid ascending on ties.  Float64 everywhere;
-per-doc accumulation happens in query-term order in BOTH paths, so scores are
-bit-identical to the oracle's scalar loop (IEEE-754 determinism).
+per-doc accumulation happens in query-term order in every path, so scores
+are bit-identical to the oracle's scalar loop (IEEE-754 determinism).
+
+One kernel serves every ranked path: ``build._wd`` is the only ``wd``
+expression, ``_accumulate`` the only per-doc float64 accumulation,
+``_topk`` the only (score desc, docid asc) cut and ``_merge_topk`` the only
+k-list merge; ``BM25Index.docvalue_mask`` is the only docvalue filter and
+``_score_range_topk`` the only shard-side primitive (a monolithic index is
+one segment with no tombstones).
 
 Reference analogs: IndexScan / IndexNLJoin (posting lookup,
 /root/reference/src/execution/compiler/operator/index_scan_translator.cpp),
@@ -28,15 +35,73 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from terrier_ray.index.build import decode_final_postings, term_hash
+# K1 and B are the pinned constants, re-exported from the build (one copy)
+from terrier_ray.index.build import (  # noqa: F401
+    B,
+    K1,
+    _wd,
+    decode_final_postings,
+    term_hash,
+)
 from terrier_ray.text.tokenize import tokenize
-
-K1 = 1.2
-B = 0.75
 
 
 def idf(n_docs: int, df: int) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+
+
+def _accumulate(
+    chunks_d: "list[np.ndarray]", chunks_c: "list[np.ndarray]"
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-doc sums of the (docids, contributions) chunks: (docids
+    ascending int64, scores float64).  ``np.add.at`` adds in element
+    order, i.e. chunk order — callers pass chunks in query-term (clause)
+    order, which is what keeps scores bit-identical to the oracle."""
+    if not chunks_d:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    uniq, inverse = np.unique(np.concatenate(chunks_d), return_inverse=True)
+    acc = np.zeros(len(uniq), dtype=np.float64)
+    np.add.at(acc, inverse, np.concatenate(chunks_c))
+    return uniq, acc
+
+
+def _topk(uniq: np.ndarray, acc: np.ndarray, k: int) -> "list[tuple[int, float]]":
+    """The top ``k`` of (docids, scores) as [(docid, score)], ordered score
+    desc, docid asc — a full lexsort, so exact under score ties."""
+    order = np.lexsort((uniq, -acc))[:k]
+    return [(int(uniq[i]), float(acc[i])) for i in order]
+
+
+def _merge_topk(klists, k: int) -> "list[tuple[int, float]]":
+    """Merge partial top-k lists whose doc sets are disjoint (one per
+    shard) into the global top-k — the reference's parallel top-k merge
+    (sorter.cpp:424-430)."""
+    cand = [pair for kl in klists for pair in kl]
+    cand.sort(key=lambda x: (-x[1], x[0]))
+    return cand[:k]
+
+
+def _slice_range(p: tuple, lo: int, hi: int) -> "tuple[np.ndarray, np.ndarray]":
+    """(docids, tfs) of posting tuple ``p`` inside the docid range [lo, hi)."""
+    dids = p[1]
+    i0, i1 = np.searchsorted(dids, np.asarray([lo, hi], dtype=np.uint64))
+    return dids[i0:i1], p[2][i0:i1]
+
+
+def _live_weights(
+    idx: "BM25Index", dids: np.ndarray, tfs: np.ndarray, avgdl: float,
+    dead: "np.ndarray | None" = None,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """(docids int64, idf-free wd) of one segment's postings, its ``dead``
+    (sorted int64) docids dropped first; doc lengths come from the
+    segment's own sidecar, ``avgdl`` is the caller's (global) one."""
+    if dead is not None and dead.size:
+        d64 = dids.astype(np.int64, copy=False)
+        pos = np.clip(np.searchsorted(dead, d64), 0, dead.size - 1)
+        keep = dead[pos] != d64
+        if not keep.all():
+            dids, tfs = dids[keep], tfs[keep]
+    return dids.astype(np.int64), _wd(tfs, idx.doc_len(dids), avgdl)
 
 
 def _query_terms(text: str) -> list[str]:
@@ -163,10 +228,10 @@ class BM25Index:
     Doclens: the build writes docid-SORTED fixed-width binary range shards
     (index/build.py build_docid_sidecar); ``self.doclens`` np.memmap's them
     (``DocidColumn``), so a scorer actor's heap holds only the pages its
-    queries touch — O(touched), not O(N).  At 1e12 docs each scorer
-    holds/maps only its docid-range parts (DistributedBM25's scatter path);
-    the part layout IS the shard boundary.  An index without the sidecar
-    raises: every index build_index writes has one.
+    queries touch — O(touched), not O(N).  At 1e12 docs each shard task
+    maps only its docid-range parts (``DistributedBM25``'s shard-side
+    scoring); the part layout IS the shard boundary.  An index without the
+    sidecar raises: every index build_index writes has one.
 
     Heavy terms: the build's second pass (build.fold_salted_postings) folds
     each heavy term's salted sub-postings into ONE fmt-2 row in its primary
@@ -175,9 +240,8 @@ class BM25Index:
     keep the multi-bucket layout; for those ``lookup`` reads the candidate
     buckets and concatenates the parts in salt order — ranges are disjoint
     and ascending, so postings, block_last and block_max metadata
-    concatenate verbatim into one valid list.  Legacy (pre-fold, v3)
-    indexes lack 'salted_terms' and fall back to multi-probing every
-    heavy term.
+    concatenate verbatim into one valid list.  Every stats.json
+    build_index writes lists 'salted_terms'; one without it raises.
     """
 
     #: decoded-postings cache entries per index handle (bounded: a heavy
@@ -206,11 +270,8 @@ class BM25Index:
         self.avgdl = self.stats["avgdl"]
         self.num_buckets = self.stats["num_buckets"]
         self.num_salts = int(self.stats.get("num_salts", 1))
-        # terms still split across salted buckets: post-fold indexes list
-        # them explicitly (usually empty); legacy v3 = every heavy term
-        self._heavy = frozenset(
-            self.stats.get("salted_terms", self.stats.get("heavy_terms", ()))
-        )
+        # terms still split across salted buckets (usually none)
+        self._heavy = frozenset(self.stats["salted_terms"])
         self.postings_dir = os.path.join(index_dir, "postings")
         #: docid → dl (epoch 2b), memmapped; every index build_index
         #: writes has it, so a missing sidecar raises FileNotFoundError
@@ -316,9 +377,7 @@ class BM25Index:
             self._wd_cache.move_to_end(t)
             return w
         _df, dids, tfs, _, _ = p
-        dl = self.doc_len(dids)
-        tf = tfs.astype(np.float64)
-        w = tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / self.avgdl))
+        w = _wd(tfs, self.doc_len(dids), self.avgdl)
         self._wd_cache[t] = w
         while len(self._wd_cache) > self.WD_CACHE_CAP:
             self._wd_cache.popitem(last=False)
@@ -438,36 +497,30 @@ class BM25Index:
         """Full exact accumulation over every matching doc (no top-k cut):
         (docids ascending int64, scores float64).  This is the per-field
         feed for BM25F combination; ``search`` is exactly this + the
-        (score desc, docid asc) lexsort cut."""
-        terms = _query_terms(query)
-        post = self.lookup(terms)
+        (score desc, docid asc) lexsort cut.  Each unique query term is a
+        boost-1.0 clause (``1.0 * idf`` is exactly ``idf``)."""
+        return self._score_clauses([(t, 1.0) for t in _query_terms(query)])
+
+    def _score_clauses(
+        self, clauses: "list[tuple[str, float]]"
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Exact accumulation of weighted (term, boost) clauses in clause
+        order: each contributes ``boost * idf(df) * wd`` per posting."""
+        post = self.lookup([t for t, _ in clauses])
         chunks_d, chunks_c = [], []
-        for t in terms:
+        for t, boost in clauses:
             p = post.get(t)
             if p is None:
                 continue
-            df = p[0]
-            contrib = idf(self.n_docs, df) * self._wd_of(t, p)
             chunks_d.append(p[1].astype(np.int64))
-            chunks_c.append(contrib)
-        if not chunks_d:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        all_d = np.concatenate(chunks_d)
-        all_c = np.concatenate(chunks_c)
-        uniq, inverse = np.unique(all_d, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(acc, inverse, all_c)  # element order == query-term order
-        return uniq, acc
+            chunks_c.append(boost * idf(self.n_docs, p[0]) * self._wd_of(t, p))
+        return _accumulate(chunks_d, chunks_c)
 
     def search(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        uniq, acc = self.score_all(query)
-        if not len(uniq):
-            return []
-        kk = min(k, len(uniq))
-        # full (score desc, docid asc) ordering — exact even under score ties;
-        # candidate sets are bounded by query-term df (BMW is the huge-df path)
-        order = np.lexsort((uniq, -acc))[:kk]
-        return [(int(uniq[i]), float(acc[i])) for i in order]
+        """Exact top-k: ``score_all`` + the (score desc, docid asc) cut;
+        candidate sets are bounded by query-term df (``search_pruned`` is
+        the stopword-heavy path)."""
+        return _topk(*self.score_all(query), k)
 
     # ------------------------------------------------------------------
     # docvalues (categorical forward index; Lucene DocValues analog)
@@ -537,6 +590,30 @@ class BM25Index:
             )
         return self.docvalues_ts.gather(docids)
 
+    def docvalue_mask(
+        self,
+        docids: np.ndarray,
+        lang: "str | None" = None,
+        ts_range: "tuple[int, int] | None" = None,
+    ) -> np.ndarray:
+        """Boolean keep mask of ``docids`` under the docvalue filters — the
+        ONE mask every filtered path applies.  ``lang`` is a categorical
+        equality filter (a value absent from the dictionary matches
+        nothing); ``ts_range=(lo, hi)`` is a half-open [lo, hi) range over
+        the numeric warc_ts sidecar (epoch int64); they AND together.  Each
+        filter is one sidecar gather over ``docids``, never a corpus read;
+        a filter on an index without its sidecar raises."""
+        keep = np.ones(len(docids), dtype=bool)
+        if lang is not None:
+            code = self._lang_code(lang)
+            if code is None:
+                return np.zeros(len(docids), dtype=bool)
+            keep &= self.docvalue_codes(docids) == code
+        if ts_range is not None:
+            ts = self.numeric_docvalue(docids)
+            keep &= (ts >= int(ts_range[0])) & (ts < int(ts_range[1]))
+        return keep
+
     def search_filtered(
         self,
         query: str,
@@ -544,38 +621,13 @@ class BM25Index:
         lang: "str | None" = None,
         ts_range: "tuple[int, int] | None" = None,
     ) -> list[tuple[int, float]]:
-        """Attribute-FILTERED exact top-k: the full ``score_all``
-        accumulation, then the docvalue mask(s), then the pinned (score
-        desc, docid asc) cut — so results are rank-AND-score-identical to
-        post-filtering the unfiltered full ranking (tested), the classic
-        filtered-query semantics (Lucene FilteredQuery / the reference's
-        predicate-below-topk plans).  ``lang`` is a categorical equality
-        filter (a value absent from the dictionary matches nothing);
-        ``ts_range=(lo, hi)`` is a half-open [lo, hi) range over the
-        numeric warc_ts sidecar (epoch int64) — the date-range filter
-        every search deployment needs; they AND together.  Each mask is
-        one sidecar gather over the candidate set (bounded by query df),
-        never a corpus read."""
-        uniq, acc = self.score_all(query)
-        if not len(uniq):
-            return []
-        if lang is not None:
-            want = self._lang_code(lang)
-            if want is None:
-                return []
-            keep = self.docvalue_codes(uniq) == want
-            uniq, acc = uniq[keep], acc[keep]
-            if not len(uniq):
-                return []
-        if ts_range is not None:
-            lo, hi = int(ts_range[0]), int(ts_range[1])
-            ts = self.numeric_docvalue(uniq)
-            keep = (ts >= lo) & (ts < hi)
-            uniq, acc = uniq[keep], acc[keep]
-            if not len(uniq):
-                return []
-        order = np.lexsort((uniq, -acc))[: min(k, len(uniq))]
-        return [(int(uniq[i]), float(acc[i])) for i in order]
+        """Attribute-FILTERED exact top-k (``search_after`` page one): the
+        full ``score_all`` accumulation, then ``docvalue_mask``, then the
+        pinned (score desc, docid asc) cut — so results are rank-AND-score-
+        identical to post-filtering the unfiltered full ranking (tested),
+        the classic filtered-query semantics (Lucene FilteredQuery / the
+        reference's predicate-below-topk plans)."""
+        return self.search_after(query, k, None, lang, ts_range)
 
     def search_after(
         self,
@@ -600,28 +652,15 @@ class BM25Index:
         accumulation + candidate sort per page (candidates are bounded
         by query df, same as ``search``).  ``after=None`` is
         page one (== ``search``); ``lang`` / ``ts_range`` compose the
-        docvalue filters (same masks as ``search_filtered``)."""
+        docvalue filters (``docvalue_mask``)."""
         uniq, acc = self.score_all(query)
         if not len(uniq):
             return []
-        if lang is not None:
-            want = self._lang_code(lang)
-            if want is None:
-                return []
-            keep = self.docvalue_codes(uniq) == want
-            uniq, acc = uniq[keep], acc[keep]
-        if ts_range is not None and len(uniq):
-            ts = self.numeric_docvalue(uniq)
-            keep = (ts >= int(ts_range[0])) & (ts < int(ts_range[1]))
-            uniq, acc = uniq[keep], acc[keep]
+        keep = self.docvalue_mask(uniq, lang, ts_range)
         if after is not None:
             d0, s0 = int(after[0]), float(after[1])
-            keep = (acc < s0) | ((acc == s0) & (uniq > d0))
-            uniq, acc = uniq[keep], acc[keep]
-        if not len(uniq):
-            return []
-        order = np.lexsort((uniq, -acc))[: min(k, len(uniq))]
-        return [(int(uniq[i]), float(acc[i])) for i in order]
+            keep &= (acc < s0) | ((acc == s0) & (uniq > d0))
+        return _topk(uniq[keep], acc[keep], k)
 
     def search_sorted_by_ts(
         self,
@@ -637,24 +676,13 @@ class BM25Index:
         matching" — instead of BM25 score.  Returns (docid, ts) pairs.
         The match set is ``score_all``'s candidate union (same lookup
         path, no score math consumed); ``lang`` / ``ts_range`` compose
-        the same sidecar masks as ``search_filtered``."""
+        the same ``docvalue_mask`` as ``search_filtered``."""
         uniq, _acc = self.score_all(query)
         if not len(uniq):
             return []
-        if lang is not None:
-            want = self._lang_code(lang)
-            if want is None:
-                return []
-            uniq = uniq[self.docvalue_codes(uniq) == want]
-            if not len(uniq):
-                return []
+        uniq = uniq[self.docvalue_mask(uniq, lang, ts_range)]
         ts = self.numeric_docvalue(uniq)
-        if ts_range is not None:
-            keep = (ts >= int(ts_range[0])) & (ts < int(ts_range[1]))
-            uniq, ts = uniq[keep], ts[keep]
-            if not len(uniq):
-                return []
-        order = np.lexsort((uniq, -ts if descending else ts))[: min(k, len(uniq))]
+        order = np.lexsort((uniq, -ts if descending else ts))[:k]
         return [(int(uniq[i]), int(ts[i])) for i in order]
 
     def date_histogram(
@@ -674,14 +702,7 @@ class BM25Index:
         uniq, _acc = self.score_all(query)
         if not len(uniq):
             return []
-        if lang is not None:
-            want = self._lang_code(lang)
-            if want is None:
-                return []
-            uniq = uniq[self.docvalue_codes(uniq) == want]
-            if not len(uniq):
-                return []
-        ts = self.numeric_docvalue(uniq)
+        ts = self.numeric_docvalue(uniq[self.docvalue_mask(uniq, lang)])
         buckets = (ts // int(interval)) * int(interval)
         vals, counts = np.unique(buckets, return_counts=True)
         return [(int(b), int(c)) for b, c in zip(vals, counts)]
@@ -696,25 +717,7 @@ class BM25Index:
         unique query term).  This is the boosted-query primitive behind
         relevance feedback (pipelines/fulltext.feedback_topk) and the
         Lucene BoostQuery analog."""
-        post = self.lookup([t for t, _ in clauses])
-        chunks_d, chunks_c = [], []
-        for t, boost in clauses:
-            p = post.get(t)
-            if p is None:
-                continue
-            contrib = boost * idf(self.n_docs, p[0]) * self._wd_of(t, p)
-            chunks_d.append(p[1].astype(np.int64))
-            chunks_c.append(contrib)
-        if not chunks_d:
-            return []
-        all_d = np.concatenate(chunks_d)
-        all_c = np.concatenate(chunks_c)
-        uniq, inverse = np.unique(all_d, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(acc, inverse, all_c)
-        kk = min(k, len(uniq))
-        order = np.lexsort((uniq, -acc))[:kk]
-        return [(int(uniq[i]), float(acc[i])) for i in order]
+        return _topk(*self._score_clauses(clauses), k)
 
     # ------------------------------------------------------------------
     # fuzzy term matching (Lucene FuzzyQuery analog)
@@ -896,11 +899,8 @@ class BM25Index:
                         self._wd_cache.move_to_end(t)
                         cand_acc[hit] += w * wd_all[pos_c[hit]]
                     else:  # cold probe: compute only the hit positions
-                        tf = tfs[pos_c[hit]].astype(np.float64)
-                        dl = self.doc_len(cand_d[hit])
-                        cand_acc[hit] += w * (
-                            tf * (K1 + 1.0)
-                            / (tf + K1 * (1.0 - B + B * dl / self.avgdl))
+                        cand_acc[hit] += w * _wd(
+                            tfs[pos_c[hit]], self.doc_len(cand_d[hit]), self.avgdl
                         )
                 continue
             # full merge of this term's postings into the candidate set.
@@ -940,16 +940,13 @@ class BM25Index:
             part = np.arange(len(cand_d))
         finalists = cand_d[part]
         # canonical rescoring (query-term order) → bit-identical to oracle
-        scores = self._rescore(finalists, terms, post)
-        rescored = [(int(d), float(s)) for d, s in zip(finalists, scores)]
-        rescored.sort(key=lambda x: (-x[1], x[0]))
-        return rescored[:k]
+        return _topk(finalists, self._rescore(finalists, terms, post), k)
 
     def _rescore(self, finalists: np.ndarray, terms: list[str], post: dict) -> np.ndarray:
         """Vectorized exact rescore of ``finalists`` (int64 docids).
 
         Per doc the float adds happen in query-term order with the exact
-        expression of ``_score_doc`` (idf * wd as two ops, float64), so each
+        expression of ``score_all`` (idf * wd as two ops, float64), so each
         score is bit-identical to scoring that doc alone — one searchsorted
         per TERM instead of one per (doc, term)."""
         scores = np.zeros(len(finalists), dtype=np.float64)
@@ -972,101 +969,10 @@ class BM25Index:
                 self._wd_cache.move_to_end(t)
                 scores[hit] += w * wd_all[pos_c[hit]]
             else:
-                tf = tfs[pos_c[hit]].astype(np.float64)
-                dl = self.doc_len(finalists[hit])
-                scores[hit] += w * (
-                    tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / self.avgdl))
+                scores[hit] += w * _wd(
+                    tfs[pos_c[hit]], self.doc_len(finalists[hit]), self.avgdl
                 )
         return scores
-
-    # ------------------------------------------------------------------
-    # Block-Max WAND document-at-a-time (the scale path for huge indexes)
-    # ------------------------------------------------------------------
-
-    def search_bmw(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        terms = _query_terms(query)
-        post = self.lookup(terms)
-        cursors = []
-        for t in terms:
-            p = post.get(t)
-            if p is None:
-                continue
-            df, dids, tfs, bl, bm = p
-            w = idf(self.n_docs, df)
-            cursors.append(
-                {
-                    "order": len(cursors),
-                    "dids": dids.astype(np.int64),
-                    "tfs": tfs,
-                    "bl": bl.astype(np.int64),
-                    "bm": bm.astype(np.float64),
-                    "idf": w,
-                    "ub": w * float(bm.max()) if len(bm) else 0.0,
-                    "pos": 0,
-                }
-            )
-        if not cursors:
-            return []
-        # heap of (score, -docid) so the weakest (lowest score, largest docid
-        # on ties) sits at the top — matches score desc / docid asc ranking.
-        import heapq
-
-        heap: list[tuple[float, int]] = []
-        threshold = -math.inf
-
-        def exhausted(c):
-            return c["pos"] >= len(c["dids"])
-
-        live = [c for c in cursors if not exhausted(c)]
-        while live:
-            live.sort(key=lambda c: c["dids"][c["pos"]])
-            # find pivot: smallest prefix whose UB sum exceeds threshold
-            ub_sum, pivot = 0.0, None
-            for i, c in enumerate(live):
-                ub_sum += c["ub"]
-                # eps margin: float32 block maxes are rounded UP at build time
-                # (build.py _f32_upper), but the float64 SUM here can still
-                # sit an ulp below a doc's true score; and a doc tying the
-                # threshold exactly must be evaluated so the (score desc,
-                # docid asc) tiebreak can replace the heap top.
-                if ub_sum > threshold - self._EPS:
-                    pivot = i
-                    break
-            if pivot is None:
-                break
-            pivot_doc = int(live[pivot]["dids"][live[pivot]["pos"]])
-            if int(live[0]["dids"][live[0]["pos"]]) == pivot_doc:
-                # block-max refinement: sum over EVERY cursor currently at
-                # pivot_doc — cursors sorted AFTER the pivot index can tie it
-                # (live is docid-sorted, so they're the contiguous run at the
-                # front); stopping at pivot+1 understates the bound and
-                # silently drops true top-k docs (seen at 960k docs).
-                block_ub = 0.0
-                for c in live:
-                    if int(c["dids"][c["pos"]]) > pivot_doc:
-                        break
-                    bi = np.searchsorted(c["bl"], pivot_doc)
-                    if bi < len(c["bm"]):
-                        block_ub += c["idf"] * c["bm"][bi]
-                if block_ub > threshold - self._EPS:
-                    score = self._score_doc(pivot_doc, terms, post)
-                    if len(heap) < k:
-                        heapq.heappush(heap, (score, -pivot_doc))
-                        if len(heap) == k:
-                            threshold = heap[0][0]
-                    elif (score, -pivot_doc) > heap[0]:
-                        heapq.heapreplace(heap, (score, -pivot_doc))
-                        threshold = heap[0][0]
-                for c in live:
-                    if int(c["dids"][c["pos"]]) == pivot_doc:
-                        c["pos"] += 1
-            else:
-                # advance the earliest cursor past pivot_doc - 1
-                c = live[0]
-                c["pos"] = int(np.searchsorted(c["dids"], pivot_doc, side="left"))
-            live = [c for c in live if not exhausted(c)]
-        out = sorted(heap, key=lambda x: (-x[0], -x[1]))
-        return [(-d, s) for s, d in out]
 
     # ------------------------------------------------------------------
     # term-dictionary range scans (IndexScan Ascending* analog)
@@ -1356,34 +1262,6 @@ class BM25Index:
             acc = acc[~np.isin(acc, excl, assume_unique=True)]
         return np.sort(acc)
 
-    def _score_doc(self, docid: int, terms: list[str], post: dict) -> float:
-        """Exact score of one doc, accumulated in query-term order.
-
-        Hot terms reuse the cached idf-free weight array (same float64
-        expression + op order, so scores stay bit-identical); only cold
-        terms pay the doclen memmap gather."""
-        dl: float | None = None
-        score = 0.0
-        for t in terms:
-            p = post.get(t)
-            if p is None:
-                continue
-            df, dids, tfs, _, _ = p
-            i = np.searchsorted(dids, np.uint64(docid))
-            if i < len(dids) and dids[i] == np.uint64(docid):
-                wd_all = self._wd_cache.get(t)
-                if wd_all is not None:
-                    self._wd_cache.move_to_end(t)
-                    score += idf(self.n_docs, df) * wd_all[i]
-                    continue
-                if dl is None:
-                    dl = float(self.doc_len(np.asarray([docid]))[0])
-                tf = float(tfs[i])
-                score += idf(self.n_docs, df) * (
-                    tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / self.avgdl))
-                )
-        return score
-
 
 class SegmentedBM25:
     """Append-only segmented index — the incremental-update pattern (new
@@ -1467,6 +1345,10 @@ class SegmentedBM25:
         return np.unique(np.concatenate(list(self._del_by_seg.values())))
 
     def search(self, query: str, k: int = 10) -> list[tuple[int, float]]:
+        """Exact top-k over every segment's live docs: per-term global df
+        from the segments' posting rows (``lookup``) minus the tombstone
+        df deltas, then each segment's postings through the dead-mask-and-
+        weigh step the shard primitive uses (``_live_weights``)."""
         terms = _query_terms(query)
         posts = [seg.lookup(terms) for seg in self.segments]
         chunks_d, chunks_c = [], []
@@ -1481,87 +1363,49 @@ class SegmentedBM25:
                 p = post.get(t)
                 if p is None:
                     continue
-                _df, dids, tfs, _, _ = p
-                gone = self._del_by_seg.get(sname)
-                if gone is not None and gone.size:
-                    d64 = dids.astype(np.int64, copy=False)
-                    pos = np.clip(
-                        np.searchsorted(gone, d64), 0, gone.size - 1
-                    )
-                    keep = gone[pos] != d64
-                    if not keep.all():
-                        dids, tfs = dids[keep], tfs[keep]
-                        if not dids.size:
-                            continue
-                dl = seg.doc_len(dids)
-                tf = tfs.astype(np.float64)
-                contrib = w * (
-                    tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / self.avgdl))
+                d, wd = _live_weights(
+                    seg, p[1], p[2], self.avgdl, self._del_by_seg.get(sname)
                 )
-                chunks_d.append(dids.astype(np.int64))
-                chunks_c.append(contrib)
-        if not chunks_d:
-            return []
-        all_d = np.concatenate(chunks_d)
-        all_c = np.concatenate(chunks_c)
-        uniq, inverse = np.unique(all_d, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(acc, inverse, all_c)
-        kk = min(k, len(uniq))
-        order = np.lexsort((uniq, -acc))[:kk]
-        return [(int(uniq[i]), float(acc[i])) for i in order]
+                chunks_d.append(d)
+                chunks_c.append(w * wd)
+        return _topk(*_accumulate(chunks_d, chunks_c), k)
 
 
-def _fetch_bucket_postings(postings_dir: str, bucket: int, terms: list[str]):
-    """Remote-side posting fetch+decode for one bucket (IO-bound shard work).
-
-    Plain function registered as a Ray task by ``search_distributed``;
-    returns {term: [(salt, df, docids, tfs), ...]} with numpy arrays
-    (zero-copy via object store) — salted heavy terms contribute one part
-    per sub-posting row, merged caller-side in salt order.
-    """
-    path = os.path.join(postings_dir, f"bucket-{bucket:05d}.parquet")
-    out: dict[str, list] = {}
-    if os.path.exists(path):
-        tab = pq.read_table(path, filters=[("term", "in", terms)])
-        d = tab.to_pydict()
-        salts = d["salt"] if "salt" in d else [0] * tab.num_rows
-        for term, salt, df, post in zip(d["term"], salts, d["df"], d["postings"]):
-            dids, tfs = decode_final_postings(post)
-            out.setdefault(term, []).append((int(salt), int(df), dids, tfs))
-    return out
-
-
-def _score_range_topk(index_dir: str, lo: int, hi: int,
-                      per_query_terms: "list[list[str]]", k: int,
-                      filter_lang: "str | None" = None,
-                      filter_ts: "tuple[int, int] | None" = None):
-    """Shard-side scoring for ``DistributedBM25.search_many_sharded``: score
-    every query against the docid range [lo, hi) and return per-query
-    partial top-k lists.
+def _score_range_topk(
+    index_dir: str, lo: int, hi: int,
+    per_query_terms: "list[list[str]]", k: int,
+    filter_lang: "str | None" = None,
+    filter_ts: "tuple[int, int] | None" = None,
+    stats: "tuple[int, float, dict[str, int]] | None" = None,
+    dead: "np.ndarray | None" = None,
+):
+    """Shard-side scoring, the ONE primitive behind ``DistributedBM25`` and
+    ``DistributedSegmentedBM25``: score every query against the docid
+    range [lo, hi) of one index and return per-query partial top-k lists.
 
     Runs where the range's doclens live (BM25Index memmaps only the pages
-    its range touches).  df in the posting rows is GLOBAL (the fold pass
-    sums salted parts), so idf is exact on every shard; contributions are
-    accumulated in query-term order with the pinned float64 expression, and
-    each doc lives in exactly ONE shard — so the merged k-lists are
-    rank-AND-score-identical to ``BM25Index.search``.  Sandbox note: posting
-    rows decode fully and slice to the range; a cluster deployment
-    document-partitions the postings per shard (the fmt-2 multi-part rows
-    are already docid-range parts, so per-range decode is a layout detail,
-    not a redesign)."""
+    its range touches).  A monolithic index is one segment with no
+    tombstones: its df in the posting rows is GLOBAL (the fold pass sums
+    salted parts) and n_docs / avgdl are its own.  A segment of a
+    ``SegmentedBM25`` gets the global ``stats = (n_docs, avgdl, df)`` —
+    the integer-exact tombstone adjustments, df summed over segments minus
+    the tombstones' df deltas — and its ``dead`` docids, masked before
+    doc_len exactly as ``SegmentedBM25.search`` does.  Contributions
+    accumulate in query-term order with the pinned float64 expression and
+    each live doc lives in exactly ONE (segment, range), so the merged
+    k-lists are rank-AND-score-identical to the local search.
+    ``filter_lang`` / ``filter_ts`` apply ``docvalue_mask`` in-shard after
+    accumulation, where the range's attribute pages live — the
+    ``search_filtered`` semantics.  Sandbox note: posting rows decode fully
+    and slice to the range; a cluster deployment document-partitions the
+    postings per shard (the fmt-2 multi-part rows are already docid-range
+    parts, so per-range decode is a layout detail, not a redesign)."""
     idx = BM25Index(index_dir)
-    want_code: "np.uint16 | None" = None
-    if filter_lang is not None:
-        # in-shard docvalue mask: the filter applies where the range's
-        # attribute pages live, mirroring BM25Index.search_filtered's
-        # post-accumulation semantics so merged k-lists stay identical
-        want_code = idx._lang_code(filter_lang)
-        if want_code is None:
-            return [[] for _ in per_query_terms]  # value not in dictionary
-    all_terms = sorted({t for ts in per_query_terms for t in ts})
-    post = idx.lookup(all_terms)
-    lo64, hi64 = np.uint64(lo), np.uint64(hi)
+    if stats is None:
+        n_docs, avgdl, df_global = idx.n_docs, idx.avgdl, None
+    else:
+        n_docs, avgdl, df_global = stats
+    post = idx.lookup(sorted({t for ts in per_query_terms for t in ts}))
     results = []
     for terms in per_query_terms:
         chunks_d, chunks_c = [], []
@@ -1569,102 +1413,17 @@ def _score_range_topk(index_dir: str, lo: int, hi: int,
             p = post.get(t)
             if p is None:
                 continue
-            df, dids, tfs, _, _ = p
-            i0 = int(np.searchsorted(dids, lo64))
-            i1 = int(np.searchsorted(dids, hi64))
-            if i1 <= i0:
-                continue
-            d = dids[i0:i1]
-            tf = tfs[i0:i1].astype(np.float64)
-            dl = idx.doc_len(d)
-            contrib = idf(idx.n_docs, df) * (
-                tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / idx.avgdl))
-            )
-            chunks_d.append(d.astype(np.int64))
-            chunks_c.append(contrib)
-        if not chunks_d:
-            results.append([])
-            continue
-        all_d = np.concatenate(chunks_d)
-        all_c = np.concatenate(chunks_c)
-        uniq, inverse = np.unique(all_d, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(acc, inverse, all_c)
-        if want_code is not None and len(uniq):
-            keep = idx.docvalue_codes(uniq) == want_code
-            uniq, acc = uniq[keep], acc[keep]
-        if filter_ts is not None and len(uniq):
-            ts = idx.numeric_docvalue(uniq)
-            keep = (ts >= int(filter_ts[0])) & (ts < int(filter_ts[1]))
-            uniq, acc = uniq[keep], acc[keep]
-        if not len(uniq):
-            results.append([])
-            continue
-        order = np.lexsort((uniq, -acc))[: min(k, len(uniq))]
-        results.append([(int(uniq[i]), float(acc[i])) for i in order])
-    return results
-
-
-def _score_segment_range_topk(
-    seg_dir: str, lo: int, hi: int,
-    per_query_terms: "list[list[str]]", k: int,
-    n_docs: int, avgdl: float, df_global: "dict[str, int]",
-    dead: np.ndarray,
-):
-    """Shard-side scoring for ``DistributedSegmentedBM25``: like
-    ``_score_range_topk`` but with GLOBAL stats supplied by the caller —
-    n_docs / avgdl carry SegmentedBM25's integer-exact tombstone
-    adjustments, df_global sums every segment's df minus the tombstones'
-    df deltas — and this segment's dead docids masked before doc_len, in
-    the same order as SegmentedBM25.search, so partial k-lists merge
-    rank-AND-score-identical to it."""
-    idx = BM25Index(seg_dir)
-    all_terms = sorted({t for ts in per_query_terms for t in ts})
-    post = idx.lookup(all_terms)
-    lo64, hi64 = np.uint64(lo), np.uint64(hi)
-    dead = np.asarray(dead, dtype=np.int64)
-    results = []
-    for terms in per_query_terms:
-        chunks_d, chunks_c = [], []
-        for t in terms:
-            df = df_global.get(t, 0)
+            df = p[0] if df_global is None else df_global.get(t, 0)
             if df <= 0:
                 continue
-            p = post.get(t)
-            if p is None:
-                continue
-            _df, dids, tfs, _, _ = p
-            i0 = int(np.searchsorted(dids, lo64))
-            i1 = int(np.searchsorted(dids, hi64))
-            if i1 <= i0:
-                continue
-            d = dids[i0:i1]
-            tf = tfs[i0:i1]
-            if dead.size:
-                d64 = d.astype(np.int64, copy=False)
-                posn = np.clip(np.searchsorted(dead, d64), 0, dead.size - 1)
-                keep = dead[posn] != d64
-                if not keep.all():
-                    d, tf = d[keep], tf[keep]
-                    if not d.size:
-                        continue
-            dl = idx.doc_len(d)
-            tf = tf.astype(np.float64)
-            contrib = idf(n_docs, df) * (
-                tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / avgdl))
-            )
-            chunks_d.append(d.astype(np.int64))
-            chunks_c.append(contrib)
-        if not chunks_d:
-            results.append([])
-            continue
-        all_d = np.concatenate(chunks_d)
-        all_c = np.concatenate(chunks_c)
-        uniq, inverse = np.unique(all_d, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(acc, inverse, all_c)
-        order = np.lexsort((uniq, -acc))[: min(k, len(uniq))]
-        results.append([(int(uniq[i]), float(acc[i])) for i in order])
+            d, wd = _live_weights(idx, *_slice_range(p, lo, hi), avgdl, dead)
+            chunks_d.append(d)
+            chunks_c.append(idf(n_docs, df) * wd)
+        uniq, acc = _accumulate(chunks_d, chunks_c)
+        if filter_lang is not None or filter_ts is not None:
+            keep = idx.docvalue_mask(uniq, filter_lang, filter_ts)
+            uniq, acc = uniq[keep], acc[keep]
+        results.append(_topk(uniq, acc, k))
     return results
 
 
@@ -1677,9 +1436,9 @@ class DistributedSegmentedBM25:
     Global stats come from tiny sidecars driver-side (n_docs/avgdl via
     SegmentedBM25's integer-exact tombstone adjustment; per-term df via
     ``BM25Index.df_of`` column reads minus tombstone df deltas — no
-    posting blob ever decodes at the driver).  One Ray task per
-    (segment, doclen-part docid range) scores every query against its
-    range with locally-memmapped doclens, masks ITS segment's dead
+    posting blob ever decodes at the driver).  One ``_score_range_topk``
+    task per (segment, doclen-part docid range) scores every query against
+    its range with locally-memmapped doclens, masks ITS segment's dead
     docids, and returns a partial top-k; the caller merges k-lists.
     Live doc sets are disjoint across segments (SegmentedBM25 contract:
     an update tombstones the old copy), so the merge is
@@ -1693,7 +1452,7 @@ class DistributedSegmentedBM25:
 
         self.local = SegmentedBM25(segment_dirs, tombstone_dirs=tombstone_dirs)
         self.segment_dirs = list(segment_dirs)
-        self._score = ray.remote(_score_segment_range_topk)
+        self._score = ray.remote(_score_range_topk)
 
     def search_many(self, queries: "list[str]", k: int = 10):
         """Per-query top-k [(docid, score), ...] lists."""
@@ -1708,28 +1467,20 @@ class DistributedSegmentedBM25:
         for t, dd in self.local._df_del.items():
             if t in df_global:
                 df_global[t] -= dd
-        futs = []
-        for seg, sdir, sname in zip(
-            self.local.segments, self.segment_dirs, self.local._seg_names
-        ):
-            dead = self.local._del_by_seg.get(
-                sname, np.empty(0, dtype=np.int64)
+        stats = (self.local.n_docs, self.local.avgdl, df_global)
+        futs = [
+            self._score.remote(
+                sdir, lo, hi, per_query_terms, k, None, None, stats,
+                self.local._del_by_seg.get(sname),
             )
-            for lo, hi in doclen_shard_ranges(seg, None):
-                futs.append(
-                    self._score.remote(
-                        sdir, lo, hi, per_query_terms, k,
-                        self.local.n_docs, self.local.avgdl,
-                        df_global, dead,
-                    )
-                )
+            for seg, sdir, sname in zip(
+                self.local.segments, self.segment_dirs, self.local._seg_names
+            )
+            for lo, hi in doclen_shard_ranges(seg, None)
+        ]
         partials = ray.get(futs)
-        results = []
-        for qi in range(len(queries)):
-            cand = [pair for part in partials for pair in part[qi]]
-            cand.sort(key=lambda x: (-x[1], x[0]))
-            results.append(cand[:k])
-        return results
+        return [_merge_topk([part[qi] for part in partials], k)
+                for qi in range(len(queries))]
 
 
 def doclen_shard_ranges(
@@ -1756,35 +1507,23 @@ def doclen_shard_ranges(
 
 
 class DistributedBM25:
-    """Scatter-gather query execution, two shapes:
-
-    - ``search_many`` (DEFAULT) = ``search_many_sharded`` — the 1e12-doc
-      shape: the docid space splits into range shards (the doclen sidecar's
-      natural boundaries), one Ray task per shard scores every query against
-      ITS docid range using its locally-memmapped doclens and returns a
-      partial top-k, and the caller merges k-lists — the reference's
-      parallel top-k merge
-      (/root/reference/src/execution/sql/sorter.cpp:424-430).  Decoded
-      postings of hot terms never transit to one process; only k-row lists
-      do.  Rank-AND-score-identical to ``BM25Index.search`` (disjoint
-      shards, query-term-order accumulation; asserted in tests).
-    - ``search_many_scatter`` — opt-in bucket-fetch shape: posting fetch
-      fans out as one Ray task per index bucket (the shard-IO stage) but
-      scoring + top-k happen at the caller, so hot-term postings DO transit
-      to one process per query batch.  Useful when the caller already holds
-      the full doclen sidecar and query volume is tiny; not the scale path.
-    """
+    """Shard-side scatter-gather query execution, the 1e12-doc shape: the
+    docid space splits into range shards (the doclen sidecar's natural
+    boundaries), one ``_score_range_topk`` task per shard scores every
+    query against ITS docid range using its locally-memmapped doclens and
+    returns a partial top-k, and the caller merges k-lists — the
+    reference's parallel top-k merge
+    (/root/reference/src/execution/sql/sorter.cpp:424-430).  Decoded
+    postings of hot terms never transit to one process; only k-row lists
+    do.  Rank-AND-score-identical to ``BM25Index.search`` (disjoint
+    shards, query-term-order accumulation; asserted in tests)."""
 
     def __init__(self, index_dir: str):
         self.index_dir = index_dir
         self.local = BM25Index(index_dir)
         import ray
 
-        self._fetch = ray.remote(_fetch_bucket_postings)
         self._score_range = ray.remote(_score_range_topk)
-
-    def _shard_ranges(self, num_shards: "int | None") -> "list[tuple[int, int]]":
-        return doclen_shard_ranges(self.local, num_shards)
 
     def search_many_sharded(
         self,
@@ -1809,103 +1548,36 @@ class DistributedBM25:
                 self.index_dir, lo, hi, per_query_terms, k, filter_lang,
                 filter_ts,
             )
-            for lo, hi in self._shard_ranges(num_shards)
+            for lo, hi in doclen_shard_ranges(self.local, num_shards)
         ]
         partials = ray.get(futs)
-        results = []
-        for qi in range(len(queries)):
-            cand = [pair for part in partials for pair in part[qi]]
-            cand.sort(key=lambda x: (-x[1], x[0]))
-            results.append(cand[:k])
-        return results
+        return [_merge_topk([part[qi] for part in partials], k)
+                for qi in range(len(queries))]
 
     def search_many(
         self, queries: "list[str]", k: int = 10, num_shards: "int | None" = None
     ):
-        """Default distributed query path = shard-side scoring (see class
-        docstring).  The bucket-fetch shape survives as the explicit
-        ``search_many_scatter`` opt-in."""
+        """Default distributed query path = ``search_many_sharded``."""
         return self.search_many_sharded(queries, k=k, num_shards=num_shards)
-
-    def search_many_scatter(self, queries: list[str], k: int = 10):
-        import ray
-
-        idx = self.local
-        per_query_terms = [_query_terms(q) for q in queries]
-        all_terms = sorted({t for ts in per_query_terms for t in ts})
-        th = term_hash(np.asarray(all_terms, dtype=object)) if all_terms else []
-        by_bucket: dict[int, list[str]] = {}
-        for t, h in zip(all_terms, th):
-            for b in idx._buckets_of(t, int(h)):
-                by_bucket.setdefault(b, []).append(t)
-        futs = [
-            self._fetch.remote(idx.postings_dir, b, ts)
-            for b, ts in sorted(by_bucket.items())
-        ]
-        pieces: dict[str, list] = {}
-        for part in ray.get(futs):
-            for t, plist in part.items():
-                pieces.setdefault(t, []).extend(plist)
-        postings: dict[str, tuple] = {}
-        for t, plist in pieces.items():
-            plist.sort(key=lambda p: p[0])  # salt order == docid-range order
-            postings[t] = (
-                sum(p[1] for p in plist),
-                np.concatenate([p[2] for p in plist]) if len(plist) > 1 else plist[0][2],
-                np.concatenate([p[3] for p in plist]) if len(plist) > 1 else plist[0][3],
-            )
-
-        results = []
-        for terms in per_query_terms:
-            chunks_d, chunks_c = [], []
-            for t in terms:
-                p = postings.get(t)
-                if p is None:
-                    continue
-                df, dids, tfs = p
-                dl = idx.doc_len(dids)
-                tf = tfs.astype(np.float64)
-                contrib = idf(idx.n_docs, df) * (
-                    tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / idx.avgdl))
-                )
-                chunks_d.append(dids.astype(np.int64))
-                chunks_c.append(contrib)
-            if not chunks_d:
-                results.append([])
-                continue
-            all_d = np.concatenate(chunks_d)
-            all_c = np.concatenate(chunks_c)
-            uniq, inverse = np.unique(all_d, return_inverse=True)
-            acc = np.zeros(len(uniq), dtype=np.float64)
-            np.add.at(acc, inverse, all_c)
-            order = np.lexsort((uniq, -acc))[: min(k, len(uniq))]
-            results.append([(int(uniq[i]), float(acc[i])) for i in order])
-        return results
 
 
 class BM25Scorer:
     """Actor-pool map_batches stage: queries (query_id, text) → top-k rows.
 
     Index loaded ONCE per actor (__init__); per batch it scores each query
-    and emits (query_id, rank, docid, score).
+    with ``search_pruned`` and emits (query_id, rank, docid, score).
     """
 
-    def __init__(self, index_dir: str, k: int = 10, mode: str = "pruned"):
+    def __init__(self, index_dir: str, k: int = 10):
         self.index = BM25Index(index_dir)
         self.k = k
-        self.mode = mode
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         qids, ranks, docids, scores = [], [], [], []
-        search = {
-            "pruned": self.index.search_pruned,
-            "exact": self.index.search,
-            "bmw": self.index.search_bmw,
-        }[self.mode]
         for qid, text in zip(
             batch.column("query_id").to_pylist(), batch.column("text").to_pylist()
         ):
-            for rank, (d, s) in enumerate(search(text, self.k), start=1):
+            for rank, (d, s) in enumerate(self.index.search_pruned(text, self.k), start=1):
                 qids.append(qid)
                 ranks.append(rank)
                 docids.append(d)

@@ -538,8 +538,8 @@ def build_docid_sidecar(corpus_dir: str, out_dir: str, column: str) -> dict:
     docid-range parts, each ``int64 docid[n] ++ value[n]``, listed with
     their ranges in ``meta.json``.  BM25Index np.memmap's the parts (the
     ``bm25.DocidColumn`` reader) — actor heap holds only the pages a query
-    touches, and a cluster deployment hands each scorer actor its
-    docid-range subset (DistributedBM25's scatter path).
+    touches, and a cluster deployment hands each shard task its
+    docid-range subset (``DistributedBM25``'s shard-side scoring).
 
     The value encoding follows the column:
 

@@ -160,18 +160,17 @@ def parse_query(q: str) -> list[Clause]:
 def _accumulate_topk(chunks_d, chunks_c, must_sets, not_sets, k, mask_of=None):
     """The pinned TAAT accumulate → MUST/NOT filter → top-k kernel shared
     by the local engine and the shard tasks (ONE implementation so the
-    rank-AND-score-identity contract lives in one place): float64
-    ``np.add.at`` in chunk order, boolean keep mask from the MUST
-    intersections and NOT exclusions, then (score desc, docid asc).
+    rank-AND-score-identity contract lives in one place): the engine's
+    ``_accumulate`` (float64 ``np.add.at`` in chunk = clause/expansion
+    order), a boolean keep mask from the MUST intersections and NOT
+    exclusions, then the engine's (score desc, docid asc) ``_topk`` cut.
     ``mask_of`` (docids → bool array) composes an extra candidate filter
     (the docvalue attribute mask) before the cut."""
-    if not chunks_d:
+    from terrier_ray.index.bm25 import _accumulate, _topk
+
+    uniq, acc = _accumulate(chunks_d, chunks_c)
+    if not len(uniq):
         return []
-    all_d = np.concatenate(chunks_d)
-    all_c = np.concatenate(chunks_c)
-    uniq, inverse = np.unique(all_d, return_inverse=True)
-    acc = np.zeros(len(uniq), dtype=np.float64)
-    np.add.at(acc, inverse, all_c)  # chunk = clause/expansion order
     keep = np.ones(len(uniq), dtype=bool)
     for ms in must_sets:
         keep &= np.isin(uniq, ms, assume_unique=True)
@@ -181,11 +180,7 @@ def _accumulate_topk(chunks_d, chunks_c, must_sets, not_sets, k, mask_of=None):
             keep &= ~np.isin(uniq, excl, assume_unique=True)
     if mask_of is not None:
         keep &= mask_of(uniq)
-    uniq, acc = uniq[keep], acc[keep]
-    if not len(uniq):
-        return []
-    order = np.lexsort((uniq, -acc))[: min(k, len(uniq))]
-    return [(int(uniq[i]), float(acc[i])) for i in order]
+    return _topk(uniq[keep], acc[keep], k)
 
 
 def _phrase_occurrences(
@@ -218,6 +213,8 @@ def _phrase_occurrences(
     # on the docid-sorted lists), rarest-first — a shard task intersects only
     # its own range's postings, never the full corpus's (search_boolean's
     # rarest-first discipline, range-restricted).
+    from terrier_ray.index.bm25 import _slice_range
+
     uniq_terms = list(dict.fromkeys(seq))
     post = idx.lookup(uniq_terms)
     sliced: dict[str, np.ndarray] = {}
@@ -225,11 +222,7 @@ def _phrase_occurrences(
         p = post.get(t)
         if p is None:
             return empty  # AND with an unindexed term
-        d = p[1]
-        if lo is not None:
-            i0 = int(np.searchsorted(d, np.uint64(lo)))
-            i1 = int(np.searchsorted(d, np.uint64(hi)))
-            d = d[i0:i1]
+        d = p[1] if lo is None else _slice_range(p, lo, hi)[0]
         if not len(d):
             return empty
         sliced[t] = d
@@ -364,10 +357,9 @@ def _qs_score_range(index_dirs, lo, hi, plan, phrase_hits, phrase_df, k,
     rank-AND-score-identical to the single-handle engine — tested).
     MUST_NOT clauses contribute only their match set — no weight math.
     Postings decode where the range's doclens live and never transit."""
-    from terrier_ray.index.bm25 import B, K1, BM25Index, idf
+    from terrier_ray.index.bm25 import BM25Index, _slice_range, _wd, idf
 
     idxs: dict = {}  # lazy: only fields the plan actually references
-    lo64, hi64 = np.uint64(lo), np.uint64(hi)
     # one bucket-grouped lookup per field over all its pair terms
     post_by_field: dict = {}
     for cl in plan:
@@ -396,9 +388,7 @@ def _qs_score_range(index_dirs, lo, hi, plan, phrase_hits, phrase_df, k,
             df = phrase_df[pi]
             pi += 1
             if scoring and len(docs):
-                tf = np.asarray(counts, np.float64)
-                dl = idx.doc_len(docs).astype(np.float64)
-                wd = tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / idx.avgdl))
+                wd = _wd(np.asarray(counts), idx.doc_len(docs), idx.avgdl)
                 chunks.append((docs, cl["boost"] * idf(idx.n_docs, df) * wd))
             match = docs
         else:
@@ -409,19 +399,10 @@ def _qs_score_range(index_dirs, lo, hi, plan, phrase_hits, phrase_df, k,
                 if p is None:
                     per_term_docs.append(np.empty(0, np.int64))
                     continue
-                dids = p[1]
-                i0 = int(np.searchsorted(dids, lo64))
-                i1 = int(np.searchsorted(dids, hi64))
-                if i1 <= i0:
-                    per_term_docs.append(np.empty(0, np.int64))
-                    continue
-                d = dids[i0:i1].astype(np.int64)
-                if scoring:
-                    tf = p[2][i0:i1].astype(np.float64)
-                    dl = idx.doc_len(dids[i0:i1])
-                    wd = tf * (K1 + 1.0) / (
-                        tf + K1 * (1.0 - B + B * dl / idx.avgdl)
-                    )
+                dids, tfs = _slice_range(p, lo, hi)
+                d = dids.astype(np.int64)
+                if scoring and len(d):
+                    wd = _wd(tfs, idx.doc_len(dids), idx.avgdl)
                     chunks.append((d, w * idf(idx.n_docs, p[0]) * wd))
                 per_term_docs.append(d)
             if cl["must_all"]:
@@ -450,8 +431,7 @@ def _qs_score_range(index_dirs, lo, hi, plan, phrase_hits, phrase_df, k,
         fidx = idxs.get(filter_field) or idxs.setdefault(
             filter_field, BM25Index(index_dirs[filter_field])
         )
-        code = fidx._lang_code(filter_lang)
-        mask_of = lambda uniq: fidx.docvalue_codes(uniq) == code  # noqa: E731
+        mask_of = lambda uniq: fidx.docvalue_mask(uniq, filter_lang)  # noqa: E731
     return _accumulate_topk(chunks_d, chunks_c, must_sets, not_sets, k, mask_of)
 
 
@@ -511,7 +491,7 @@ class QueryStringEngine:
         ``match_docids`` (sorted unique int64) is the clause's match set.
         A multi-token MUST term clause matches the AND of its tokens; every
         other expansion matches the union (docids present in any chunk)."""
-        from terrier_ray.index.bm25 import K1, B, idf
+        from terrier_ray.index.bm25 import _wd, idf
 
         idx = self._index_of(c.field)
         scoring = c.occur != MUST_NOT  # negative clauses never score —
@@ -520,9 +500,7 @@ class QueryStringEngine:
             docs, counts = _phrase_occurrences(idx, c.text, slop=c.slop)
             if not scoring or not len(docs):
                 return [], docs
-            tf = counts.astype(np.float64)
-            dl = idx.doc_len(docs).astype(np.float64)
-            wd = tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / idx.avgdl))
+            wd = _wd(counts, idx.doc_len(docs), idx.avgdl)
             contrib = c.boost * idf(idx.n_docs, len(docs)) * wd
             return [(docs, contrib)], docs
         pairs = self._expand(idx, c)
@@ -562,10 +540,8 @@ class QueryStringEngine:
         idx = self.indexes.get(self.default_field)
         if idx is None:
             idx = self.indexes[min(self.indexes)]
-        code = idx._lang_code(filter_lang)
-        if code is None:
-            return lambda uniq: np.zeros(len(uniq), dtype=bool)
-        return lambda uniq: idx.docvalue_codes(uniq) == code
+        idx._lang_code(filter_lang)  # no sidecar: raise before scoring
+        return lambda uniq: idx.docvalue_mask(uniq, filter_lang)
 
     def search(
         self, q: str, k: int = 10, filter_lang: "str | None" = None
@@ -774,6 +750,6 @@ class QueryStringEngine:
             )
             for (lo, hi), hits in zip(ranges, hits_by_range)
         ]
-        cand = [pair for part in ray.get(futs) for pair in part]
-        cand.sort(key=lambda x: (-x[1], x[0]))
-        return cand[:k]
+        from terrier_ray.index.bm25 import _merge_topk
+
+        return _merge_topk(ray.get(futs), k)

@@ -73,12 +73,11 @@ def bm25_topk(sf_dir: str, k: int = 10, num_queries: int = 20):
 
 
 def bm25_topk_distributed(sf_dir: str, k: int = 10, num_queries: int = 20):
-    """Distributed BM25, default shape = SHARD-SIDE scoring: docid-range
-    tasks score with their local doclens and return partial top-k; the
-    caller merges k-lists (sorter.cpp:424-430 analog).  Decoded postings
-    never transit to the caller; the legacy bucket-fetch scatter path is
-    the explicit ``DistributedBM25.search_many_scatter`` opt-in.
-    Rank-AND-score-identical to bm25_topk."""
+    """Distributed BM25 = SHARD-SIDE scoring (``DistributedBM25``):
+    docid-range tasks score with their local doclens and return partial
+    top-k; the caller merges k-lists (sorter.cpp:424-430 analog).  Decoded
+    postings never transit to the caller.  Rank-AND-score-identical to
+    bm25_topk."""
     from terrier_ray.index.bm25 import DistributedBM25
 
     idx_dir = ensure_index(sf_dir)
@@ -169,7 +168,7 @@ def bm25f_topk(
 def bm25f_combine(idx_title, idx_body, queries, *, k, w_title, w_body):
     """The BM25F combination core over two open per-field index handles
     (see ``bm25f_topk`` for the pinned formula and ordering)."""
-    import numpy as np
+    from terrier_ray.index.bm25 import _accumulate, _topk
 
     per_query = []
     for qid, text in zip(
@@ -177,15 +176,9 @@ def bm25f_combine(idx_title, idx_body, queries, *, k, w_title, w_body):
     ):
         dt, st = idx_title.score_all(text)
         db, sb = idx_body.score_all(text)
-        all_d = np.concatenate([dt, db])
-        all_c = np.concatenate([w_title * st, w_body * sb])
-        if not len(all_d):
-            continue
-        uniq, inverse = np.unique(all_d, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(acc, inverse, all_c)  # title chunk first, then body
-        order = np.lexsort((uniq, -acc))[: min(k, len(uniq))]
-        per_query.append((qid, [(int(uniq[i]), float(acc[i])) for i in order]))
+        # title chunk first, then body
+        uniq, acc = _accumulate([dt, db], [w_title * st, w_body * sb])
+        per_query.append((qid, _topk(uniq, acc, k)))
     return _hits_table(per_query)
 
 
@@ -1248,7 +1241,7 @@ def bm25f_true_search(idx_title, idx_body, query, *, k, w_title, w_body):
     ``bm25f_true_topk`` for the pinned formula)."""
     import numpy as np
 
-    from terrier_ray.index.bm25 import K1, B, _query_terms, idf
+    from terrier_ray.index.bm25 import _accumulate, _query_terms, _topk, _wd, idf
 
     assert idx_title.n_docs == idx_body.n_docs, "per-field indexes must align"
     n_docs = idx_body.n_docs
@@ -1273,16 +1266,6 @@ def bm25f_true_search(idx_title, idx_body, query, *, k, w_title, w_body):
             w_title * idx_title.doc_len(union)
             + w_body * idx_body.doc_len(union)
         )
-        wd = tfw * (K1 + 1.0) / (tfw + K1 * (1.0 - B + B * dlw / avgdlw))
         chunks_d.append(union)
-        chunks_c.append(idf(n_docs, len(union)) * wd)
-    if not chunks_d:
-        return []
-    all_d = np.concatenate(chunks_d)
-    all_c = np.concatenate(chunks_c)
-    uniq, inverse = np.unique(all_d, return_inverse=True)
-    acc = np.zeros(len(uniq), dtype=np.float64)
-    np.add.at(acc, inverse, all_c)  # query-term order
-    kk = min(k, len(uniq))
-    order = np.lexsort((uniq, -acc))[:kk]
-    return [(int(uniq[i]), float(acc[i])) for i in order]
+        chunks_c.append(idf(n_docs, len(union)) * _wd(tfw, dlw, avgdlw))
+    return _topk(*_accumulate(chunks_d, chunks_c), k)  # query-term order

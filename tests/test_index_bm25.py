@@ -91,25 +91,15 @@ def test_topk_rank_identical(built_index, oracle):
     assert n_nonempty > 20
 
 
-def test_bmw_matches_exact(built_index):
-    out, _ = built_index
-    idx = BM25Index(out)
-    queries = generate_queries(30)
-    for text in queries.column("text").to_pylist():
-        exact = idx.search(text, k=10)
-        bmw = idx.search_bmw(text, k=10)
-        assert bmw == exact, text
-
-
-def test_bmw_pivot_tie_regression(built_index):
-    """BMW block-max refinement must sum EVERY cursor sitting at the pivot
-    doc: when two query terms' cursors tie at the same doc and pivot=0,
-    bounding by only live[:pivot+1] understates the doc's score and silently
-    drops a true top-k doc (seen live at 960k docs).  Constructed geometry
-    over real docids via a monkeypatched lookup: term A has a high-tf spike
-    doc (global upper bound ≫ typical block max) and doc X sits in a weak
-    A-block; an earlier two-A+B doc sets the threshold above X's A-only
-    block bound, so only the B cursor tied at X proves X can qualify."""
+def test_pruned_spike_geometry_regression(built_index):
+    """MaxScore's probe-only decision on the adversarial geometry that once
+    broke a block-max pruner (a true top-k doc dropped, seen live at 960k
+    docs).  Constructed over real docids via a monkeypatched lookup: term
+    A has a high-tf spike doc (upper bound ≫ typical weight) and doc X
+    sits in a weak A-block; an earlier A+B doc Y sets the k=2 threshold
+    above X's A-only score, so only term B — whose bound is below that
+    threshold, making it probe-only — lifts X into the top-2.  The
+    hand-computed top-2 must equal ``search_pruned`` and ``search``."""
     import numpy as np
 
     from terrier_ray.index.bm25 import B, K1, idf
@@ -163,12 +153,15 @@ def test_bmw_pivot_tie_regression(built_index):
         score[int(dd)] = score.get(int(dd), 0.0) + w_b * wd(dd, int(b_tfs[i]))
     # geometry preconditions (if these fail the test no longer proves the bug)
     thr = score[int(y_doc)]  # k=2 threshold when cursors reach X
-    assert w_a * float(a_bm.max()) > thr          # pivot=0 at X
+    assert w_a * float(a_bm.max()) > thr          # A alone clears the bar
     assert w_a * float(a_bm[1]) <= thr            # A-only block bound rejects X
     assert score[int(x_doc)] > thr                # but X truly beats the kth
+    # after A, the k=2 cut sits at Y's A-only score and B's bound is below
+    # it: B is only probed at A's candidates, never scanned
+    assert w_b * float(b_bm.max()) < w_a * wd(y_doc, 1)
     want = sorted(score.items(), key=lambda x: (-x[1], x[0]))[:2]
-    got = idx.search_bmw("qqqa qqqb", 2)
-    assert [dd for dd, _ in got] == [dd for dd, _ in want]
+    got = idx.search_pruned("qqqa qqqb", 2)
+    assert got == want
     assert got == idx.search("qqqa qqqb", 2)
 
 
@@ -245,16 +238,91 @@ def test_distributed_matches_local(ray_session, built_index, oracle):
         assert got == oracle.search(text, k=10), text
 
 
-def test_distributed_scatter_matches_local(ray_session, built_index, oracle):
-    """The opt-in bucket-fetch scatter path stays rank-identical."""
-    from terrier_ray.index.bm25 import DistributedBM25
+def test_one_segment_is_the_monolithic_index(ray_session, built_index):
+    """A monolithic index is one segment with no tombstones: the segmented
+    readers over ``[index]`` equal the monolithic ones bit for bit, on
+    generated queries and on their stopword-band variants."""
+    from terrier_ray.index.bm25 import (
+        DistributedBM25,
+        DistributedSegmentedBM25,
+        SegmentedBM25,
+    )
 
     out, _ = built_index
-    engine = DistributedBM25(out)
+    idx = BM25Index(out)
+    seg = SegmentedBM25([out])
+    assert (seg.n_docs, seg.avgdl) == (idx.n_docs, idx.avgdl)
     texts = generate_queries(20).column("text").to_pylist()
-    res = engine.search_many_scatter(texts, k=10)
-    for text, got in zip(texts, res):
-        assert got == oracle.search(text, k=10), text
+    qs = texts + [t + " the of and" for t in texts]
+    for q in qs:
+        assert seg.search(q, 10) == idx.search(q, 10), q
+    want = DistributedBM25(out).search_many(qs, k=10)
+    assert sum(bool(r) for r in want) > len(texts)
+    assert DistributedSegmentedBM25([out]).search_many(qs, k=10) == want
+
+
+def test_read_path_reaches_traced_layers(built_index, monkeypatch):
+    """The benchmark's traced run wraps these attributes by name
+    (perfbench/workloads.py::install_wrappers); a read path that bypasses
+    one reports 0 for its layer and fails nothing.  So: a first-touch
+    ``BM25Index.search`` on a fresh handle reaches ``lookup``,
+    ``score_all``, ``bm25.decode_final_postings`` and the row-group
+    fetch, and fills ``_cache``; ``SegmentedBM25.search`` reaches every
+    segment's ``lookup``."""
+    import pyarrow.parquet as pq
+
+    from terrier_ray.index import bm25
+
+    calls: list[tuple[str, object]] = []
+
+    def spy(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append((name, args[0] if args else None))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for name in ("lookup", "score_all", "search"):
+        spy(bm25.BM25Index, name)
+    spy(bm25, "decode_final_postings")
+    spy(pq.ParquetFile, "read_row_groups")
+    spy(bm25.SegmentedBM25, "search")
+
+    out, _ = built_index
+    q = generate_queries(1).column("text")[0].as_py()
+    idx = BM25Index(out)
+    assert idx.search(q, 10)
+    names = [n for n, _ in calls]
+    for name in ("search", "score_all", "lookup", "decode_final_postings",
+                 "read_row_groups"):
+        assert name in names, name
+    assert any(t in idx._cache for t in bm25._query_terms(q))
+
+    calls.clear()
+    seg = bm25.SegmentedBM25([out, out])  # two segment handles
+    seg.search(q, 10)
+    looked_up = {id(obj) for n, obj in calls if n == "lookup"}
+    assert [n for n, _ in calls][0] == "search"
+    assert {id(s) for s in seg.segments} <= looked_up
+
+
+def test_stats_without_salted_terms_raises(built_index, tmp_root):
+    """Every stats.json build_index writes lists ``salted_terms``; one
+    without it is not a servable index and fails to open."""
+    import json
+
+    out, _ = built_index
+    with open(os.path.join(out, "stats.json")) as f:
+        stats = json.load(f)
+    del stats["salted_terms"]
+    broken = os.path.join(str(tmp_root), "idx_no_salted_terms")
+    os.makedirs(broken, exist_ok=True)
+    with open(os.path.join(broken, "stats.json"), "w") as f:
+        json.dump(stats, f)
+    with pytest.raises(KeyError, match="salted_terms"):
+        BM25Index(broken)
 
 
 def test_pruned_matches_oracle(built_index, oracle):
@@ -609,8 +677,7 @@ def test_heavy_term_salted_subpostings(ray_session, tmp_root):
     assert np.array_equal(pa_[1], pb_[1]) and np.array_equal(pa_[2], pb_[2])
     assert np.array_equal(np.sort(pa_[3]), pa_[3])  # block_last still sorted
     for q in ["zzzhot", "zzzhot weather news", "the zzzhot of"]:
-        for fn_a, fn_b in [(a.search, b.search), (a.search_pruned, b.search_pruned),
-                           (a.search_bmw, b.search_bmw)]:
+        for fn_a, fn_b in [(a.search, b.search), (a.search_pruned, b.search_pruned)]:
             assert fn_a(q, 10) == fn_b(q, 10), q
     queries = generate_queries(20).column("text").to_pylist()
     for q in queries:

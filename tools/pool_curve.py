@@ -8,55 +8,42 @@ cached-weight scoring; this tool measures the resulting curve.
 
 Usage:
     python tools/pool_curve.py [index_dir] [--docs 960000] [--actors 2,4,8,16]
+                               [--work-dir DIR]
 
-One Ray session (32 cpus), one index; per actor count: fresh actors, full
-warm pass (untimed), then the timed window over the same 2,000 queries.
-Prints one JSON line per actor count plus a summary.  Run on a QUIET host
-and never concurrently with bench.py --scaling.
+Runs from any cwd: the repo root is found from this file and exported to
+the Ray workers.  One Ray session, started with the tier-1 suite's
+arguments (num_cpus=4, or $RAY_GRAFT_CPUS) and shut down in a ``finally``;
+one index.  Without ``index_dir`` the corpus and index are built under
+DIR (kept) or a fresh temporary directory (removed at exit).  Per actor
+count: fresh actors, full warm pass (untimed), then the timed window over
+the same 2,000 queries.  Prints one JSON line per actor count plus a
+summary.  Run on a QUIET host and never concurrently with bench.py
+--scaling; an actor count above the session's cpus queues actors.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
+# workers inherit the driver's environment at ray.init
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [REPO] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
-def main() -> None:
-    docs = 960_000
-    actor_counts = [2, 4, 8, 16]
-    args = [a for a in sys.argv[1:]]
-    idx_dir = None
-    i = 0
-    while i < len(args):
-        if args[i] == "--docs":
-            docs = int(args[i + 1]); i += 2
-        elif args[i] == "--actors":
-            actor_counts = [int(x) for x in args[i + 1].split(",")]; i += 2
-        else:
-            idx_dir = args[i]; i += 1
 
+def curve(idx_dir: str, actor_counts: "list[int]") -> None:
     import ray
 
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-            include_dashboard=False,
-            logging_level="ERROR",
-        )
-    from terrier_ray.datagen.webtext import generate_queries, generate_webtext_parquet
+    from terrier_ray.datagen.webtext import generate_queries
     from terrier_ray.index.bm25 import BM25Scorer
-    from terrier_ray.index.build import build_index
-
-    if idx_dir is None:
-        web = generate_webtext_parquet(
-            f"/tmp/terrier_ray_webtext/scaling-{docs}", num_docs=docs, seed=42
-        )
-        idx_dir = f"/tmp/terrier_ray_pool_curve_{docs}"
-        if not os.path.exists(os.path.join(idx_dir, "_manifest")):
-            build_index(web, idx_dir, num_buckets=256, num_salts=4)
 
     queries = generate_queries(2000)
     rows = []
@@ -97,7 +84,46 @@ def main() -> None:
         ],
         "ideal": [r["actors"] // base["actors"] for r in rows],
     }))
-    ray.shutdown()
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("index_dir", nargs="?", default=None)
+    ap.add_argument("--docs", type=int, default=960_000)
+    ap.add_argument("--actors", default="2,4,8,16")
+    ap.add_argument("--work-dir", default=None)
+    args = ap.parse_args()
+    actor_counts = [int(x) for x in args.actors.split(",")]
+
+    import ray
+
+    work = args.work_dir or tempfile.mkdtemp(prefix="pool_curve_")
+    ray.init(address="local",
+             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "4")),
+             include_dashboard=False, logging_level="ERROR")
+    try:
+        from ray.data import DataContext
+
+        DataContext.get_current().enable_progress_bars = False
+        idx_dir = args.index_dir
+        if idx_dir is None:
+            from terrier_ray.datagen.webtext import generate_webtext_parquet
+            from terrier_ray.index.build import build_index
+
+            web = generate_webtext_parquet(
+                os.path.join(work, f"webtext-{args.docs}"), num_docs=args.docs,
+                seed=42,
+            )
+            idx_dir = os.path.join(work, f"index-{args.docs}")
+            build_index(web, idx_dir, num_buckets=256, num_salts=4)
+        curve(idx_dir, actor_counts)
+    finally:
+        from terrier_ray.raycompat import quiesce_ray_data_stats
+
+        quiesce_ray_data_stats()
+        ray.shutdown()
+        if args.work_dir is None:
+            shutil.rmtree(work, ignore_errors=True)
 
 
 if __name__ == "__main__":
