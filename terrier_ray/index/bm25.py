@@ -1,4 +1,5 @@
-"""BM25 retrieval over the built index: exact TAAT and MaxScore-pruned TAAT.
+"""BM25 retrieval over the built index: one executor for every search
+surface, plus the MaxScore-pruned TAAT path.
 
 Scoring formula (pinned; the pure-Python oracle re-implements it
 independently in terrier_ray/index/oracle.py):
@@ -15,9 +16,22 @@ are bit-identical to the oracle's scalar loop (IEEE-754 determinism).
 One kernel serves every ranked path: ``build._wd`` is the only ``wd``
 expression, ``_accumulate`` the only per-doc float64 accumulation,
 ``_topk`` the only (score desc, docid asc) cut and ``_merge_topk`` the only
-k-list merge; ``BM25Index.docvalue_mask`` is the only docvalue filter and
-``_score_range_topk`` the only shard-side primitive (a monolithic index is
-one segment with no tombstones).
+k-list merge; ``BM25Index.docvalue_mask`` is the only docvalue filter.
+
+One executor runs every query.  A query compiles to a *plan*: a tuple of
+(term, weight) pairs for a bare or weighted OR query, or a dict whose
+``clauses`` are MUST / SHOULD / NOT term-pair clauses and phrase
+pseudo-terms, with an optional docvalue filter.  A *unit* is a segment's
+``BM25Index``, a docid range and its sorted dead docids (``Unit``).
+``execute`` runs plans with global stats (n_docs, avgdl, term df, phrase
+df) over *shards* — the units whose docs accumulate together — and
+returns each shard's (docids, scores) after the MUST, NOT and docvalue
+masks.  A table is files plus removes (Delta Lake, VLDB'20): a
+monolithic index is one segment with no tombstones, so ``BM25Index`` and
+``SegmentedBM25`` share every read method (``_Reader``, one shard holding
+all the reader's units), and every distributed surface ships (plans, a
+one-unit shard) to one Ray task (``_unit_task``) and merges the k-lists
+(``_fan_out``).
 
 Reference analogs: IndexScan / IndexNLJoin (posting lookup,
 /root/reference/src/execution/compiler/operator/index_scan_translator.cpp),
@@ -30,6 +44,7 @@ import functools
 import json
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -81,29 +96,6 @@ def _merge_topk(klists, k: int) -> "list[tuple[int, float]]":
     return cand[:k]
 
 
-def _slice_range(p: tuple, lo: int, hi: int) -> "tuple[np.ndarray, np.ndarray]":
-    """(docids, tfs) of posting tuple ``p`` inside the docid range [lo, hi)."""
-    dids = p[1]
-    i0, i1 = np.searchsorted(dids, np.asarray([lo, hi], dtype=np.uint64))
-    return dids[i0:i1], p[2][i0:i1]
-
-
-def _live_weights(
-    idx: "BM25Index", dids: np.ndarray, tfs: np.ndarray, avgdl: float,
-    dead: "np.ndarray | None" = None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """(docids int64, idf-free wd) of one segment's postings, its ``dead``
-    (sorted int64) docids dropped first; doc lengths come from the
-    segment's own sidecar, ``avgdl`` is the caller's (global) one."""
-    if dead is not None and dead.size:
-        d64 = dids.astype(np.int64, copy=False)
-        pos = np.clip(np.searchsorted(dead, d64), 0, dead.size - 1)
-        keep = dead[pos] != d64
-        if not keep.all():
-            dids, tfs = dids[keep], tfs[keep]
-    return dids.astype(np.int64), _wd(tfs, idx.doc_len(dids), avgdl)
-
-
 def _query_terms(text: str) -> list[str]:
     """Unique query tokens, first-occurrence order (qtf ignored)."""
     seen: dict[str, None] = {}
@@ -146,6 +138,559 @@ def _osa_distance_le(
             return None
         prev2, prev = prev, cur
     return prev[-1] if prev[-1] <= maxd else None
+
+
+# ----------------------------------------------------------------------
+# the executor: plans over (segment, docid range) units
+# ----------------------------------------------------------------------
+
+#: clause occurs (the query-string grammar's prefixes)
+MUST, SHOULD, MUST_NOT = "+", "", "-"
+
+#: one past the largest docid (url hashes are 63-bit)
+_END = 1 << 63
+
+_NO_DOCS = np.empty(0, dtype=np.int64)
+_NO_DOCS.flags.writeable = False
+
+
+class Unit(NamedTuple):
+    """What the executor runs a plan over: one segment's index, the docid
+    range [lo, hi) of it, and that segment's sorted int64 dead
+    (tombstoned) docids.  ``Unit(idx)`` is a whole monolithic index."""
+
+    idx: "BM25Index"
+    lo: int = 0
+    hi: int = _END
+    dead: np.ndarray = _NO_DOCS
+
+
+def _live(u: Unit, dids: np.ndarray, tfs: np.ndarray):
+    """(docids uint64, tfs) of a posting list inside unit ``u``: its docid
+    range, with the unit's dead docids dropped."""
+    if u.lo > 0 or u.hi < _END:
+        i0, i1 = np.searchsorted(dids, np.asarray([u.lo, u.hi], dtype=np.uint64))
+        dids, tfs = dids[i0:i1], tfs[i0:i1]
+    if u.dead.size and len(dids):
+        d64 = dids.astype(np.int64)
+        pos = np.clip(np.searchsorted(u.dead, d64), 0, u.dead.size - 1)
+        keep = u.dead[pos] != d64
+        if not keep.all():
+            dids, tfs = dids[keep], tfs[keep]
+    return dids, tfs
+
+
+def _phrase_occurrences(idx, phrase: str, slop: int = 0):
+    """(docids ascending int64, per-doc match counts int64) for the token
+    sequence inside ``idx`` — a ``Unit`` or a whole index — by
+    position-list intersection (zero corpus text reads).  With ``slop ==
+    0`` a match is the exact adjacent sequence; with ``slop >= 1`` it is a
+    MINIMAL unordered window over the DISTINCT tokens with span <=
+    n_distinct + slop (querylang's proximity semantics; kernel
+    ``_minimal_window_count``).  A unit's candidates are its live docids
+    in its range, so dead docids never reach a position decode."""
+    u = idx if isinstance(idx, Unit) else Unit(idx)
+    idx = u.idx
+    seq = tokenize(phrase)
+    empty = np.empty(0, np.int64), np.empty(0, np.int64)
+    if not seq:
+        return empty
+    if not idx.has_positions:
+        raise ValueError(
+            "phrase clauses need a positional index (build_index(positions=True))"
+        )
+    # Candidate AND over the unit's live postings, rarest-first — a shard
+    # task intersects only its own range's postings, never the corpus's.
+    uniq_terms = list(dict.fromkeys(seq))
+    post = idx.lookup(uniq_terms)
+    sliced: dict[str, np.ndarray] = {}
+    for t in uniq_terms:
+        p = post.get(t)
+        if p is None:
+            return empty  # AND with an unindexed term
+        sliced[t] = _live(u, p[1], p[2])[0]
+        if not len(sliced[t]):
+            return empty
+    cand: np.ndarray | None = None
+    for t in sorted(uniq_terms, key=lambda t: len(sliced[t])):
+        d = sliced[t]
+        cand = d if cand is None else cand[np.isin(cand, d, assume_unique=True)]
+        if not len(cand):
+            return empty
+    cand_list = [int(d) for d in cand]
+    if slop:
+        # one positions fetch per UNIQUE term (a repeated token reuses it)
+        posmaps = {t: idx.positions_for(t, cand_list) for t in uniq_terms}
+        docs: list[int] = []
+        counts: list[int] = []
+        window = len(uniq_terms) + int(slop)
+        for d in cand_list:
+            arrs = [posmaps[t].get(d) for t in uniq_terms]
+            if any(a is None for a in arrs):
+                continue
+            c = _minimal_window_count(arrs, window)
+            if c:
+                docs.append(d)
+                counts.append(c)
+        return np.asarray(docs, np.int64), np.asarray(counts, np.int64)
+    # EXACT phrase: one flat positions fetch per unique term, then the
+    # whole adjacency intersection runs as len(seq)-1 GLOBAL intersect1d
+    # calls over packed (candidate-ordinal << 32 | position - offset)
+    # int64 keys — never a per-candidate loop (a stopword phrase's 10^4-
+    # candidate AND set previously paid ~47k tiny intersect1d calls at
+    # sf0.1).  Ordinal packing is collision-free: ordinals < 2^31 and
+    # token positions < 2^32 - len(seq) (a doc's token count), and a
+    # match's j-th position is >= j so the j-shift never borrows out of
+    # the ordinal field for any surviving key.
+    flats = {t: idx.positions_flat(t, cand_list)[2:] for t in uniq_terms}
+    cand_arr = np.asarray(cand, dtype=np.uint64)  # sorted (intersect chain)
+    shift = np.int64(1) << np.int64(32)
+    keys: "np.ndarray | None" = None
+    for j, t in enumerate(seq):
+        doc_rep, pos = flats[t]
+        if not len(doc_rep):
+            return empty
+        ordn = np.searchsorted(cand_arr, doc_rep).astype(np.int64)
+        kj = ordn * shift + (pos - j)
+        keys = kj if keys is None else np.intersect1d(
+            keys, kj, assume_unique=True
+        )
+        if not len(keys):
+            return empty
+    ords, cnts = np.unique(keys >> np.int64(32), return_counts=True)
+    return cand_arr[ords].astype(np.int64), cnts.astype(np.int64)
+
+
+def _minimal_window_count(arrs: "list[np.ndarray]", window: int) -> int:
+    """Number of MINIMAL windows containing >=1 position from every array
+    with span (max - min + 1) <= ``window`` — minimal-interval semantics
+    (Clarke/Cormack/Burkowski 1995): an interval covering all k labels
+    such that dropping either endpoint breaks coverage.  Minimal windows
+    never nest, each is identified by its right endpoint, so one
+    two-pointer sweep over the label-merged position list enumerates
+    them all exactly once.  Positions are token indices, distinct across
+    arrays within a doc (one token per position), so the merged order is
+    unambiguous.  O(total positions) per doc; callers bound the doc set
+    by the candidate AND.  This sweep is the one remaining sequential
+    Python kernel on the positional paths (the exact-phrase path is fully
+    vectorized via packed-key intersect1d): a stopword-heavy proximity
+    query pays ~87 ms at sf0.1 vs 26 ms exact.  A vectorized minimal-
+    interval formulation exists (per-label running last-occurrence keys +
+    a prev-same-label gather) if that tail ever matters."""
+    k = len(arrs)
+    if k == 1:
+        return int(len(arrs[0]))  # every single occurrence spans 1 <= window
+    pos = np.concatenate(arrs)
+    lab = np.concatenate(
+        [np.full(len(a), i, dtype=np.int32) for i, a in enumerate(arrs)]
+    )
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    lab = lab[order]
+    cnt = np.zeros(k, dtype=np.int64)
+    covered = 0
+    left = 0
+    out = 0
+    for r in range(len(pos)):
+        t = int(lab[r])
+        cnt[t] += 1
+        if cnt[t] == 1:
+            covered += 1
+        if covered < k:
+            continue
+        while cnt[int(lab[left])] > 1:  # maximal left with full coverage
+            cnt[int(lab[left])] -= 1
+            left += 1
+        # [left, r] is minimal iff r's label is unique inside it (dropping
+        # the right endpoint breaks coverage; the left is unique by the
+        # shrink above)
+        if cnt[t] == 1 and int(pos[r]) - int(pos[left]) + 1 <= window:
+            out += 1
+    return out
+
+
+def _plan_terms(plans) -> "dict[str | None, list[str]]":
+    """{field: the plans' pair terms, unique, first-occurrence order}."""
+    out: dict = {}
+    for plan in plans:
+        for f, pairs in ([(None, plan)] if isinstance(plan, tuple) else
+                         [(c["field"], c["pairs"]) for c in plan["clauses"]
+                          if c["kind"] == "pairs"]):
+            out.setdefault(f, {}).update(pairs)  # keys: the terms, in order
+    return {f: list(ts) for f, ts in out.items()}
+
+
+def _phrase_clauses(plans) -> list:
+    return [c for plan in plans if isinstance(plan, dict)
+            for c in plan["clauses"] if c["kind"] == "phrase"]
+
+
+def _shard_phrases(phrases: list, shard: dict) -> list:
+    """Phase 1 on one shard: per phrase clause, each unit's LIVE (docids,
+    match counts).  Dead docids drop before counting — an UPDATE leaves
+    the same docid dead in the base segment and live in the delta — so
+    the match counts sum to the global phrase df."""
+    return [[_phrase_occurrences(u, c["text"], c["slop"]) for u in shard[c["field"]]]
+            for c in phrases]
+
+
+def _phrase_df(hits: list) -> "list[int]":
+    """Global phrase df: each phrase's live matches summed over shards."""
+    return [sum(len(d) for h in hits for d, _ in h[i]) for i in range(len(hits[0]))]
+
+
+def _resolve_df(stats: dict, terms: dict) -> dict:
+    """``stats`` with each callable df (a reader's ``df_of``) resolved to a
+    dict over its field's plan terms."""
+    return {f: (n, avgdl, df(terms.get(f, [])) if callable(df) else df)
+            for f, (n, avgdl, df) in stats.items()}
+
+
+def _pair_docs(units, posts, pairs, stats: tuple, chunks_d, chunks_c):
+    """Each (term, weight) pair's live docids, one int64 array per unit
+    that holds the term (disjoint across units).  With ``chunks_d`` set,
+    also appends the pair's ``weight * idf * wd`` contributions, in pair
+    order.  A unit that covers its whole index at that index's own avgdl,
+    with no dead docids, reads the index's weight cache (``_wd_of``); any
+    other weighs its live slice with the caller's (global) avgdl."""
+    n_docs, avgdl, df = stats
+    own = [u.lo <= 0 and u.hi >= _END and not u.dead.size and avgdl == u.idx.avgdl
+           for u in units]
+    docs = []
+    for t, w in pairs:
+        per_unit = []
+        for u, post, whole in zip(units, posts, own):
+            p = post.get(t)
+            dft = 0 if p is None else p[0] if df is None else df.get(t, 0)
+            if dft <= 0:
+                continue
+            dids, tfs = (p[1], p[2]) if whole else _live(u, p[1], p[2])
+            per_unit.append(dids.astype(np.int64))
+            if chunks_d is not None:
+                chunks_d.append(per_unit[-1])
+                wd = u.idx._wd_of(t, p) if whole else _wd(tfs, u.idx.doc_len(dids), avgdl)
+                chunks_c.append(w * idf(n_docs, dft) * wd)
+        docs.append(per_unit)
+    return docs
+
+
+def _score_shard(plans, shard: dict, posts: dict, stats: dict, hits, phrase_df):
+    """Phase 2 on one shard: each plan's (docids, scores float64) after
+    its MUST, NOT and docvalue masks.
+
+    Contributions accumulate in clause order, then pair order within a
+    clause (``_accumulate``); each live doc lives in exactly one unit, so
+    its adds run in clause order whatever the unit.  A doc must match
+    every MUST clause (a ``must_all`` clause needs every pair term, any
+    other one of them); NOT clauses exclude and never score.  A plan with
+    ``"score": False`` skips the weight math: its docids are the MUST
+    match sets intersected rarest-first (or the shard's live docids when
+    there is no MUST clause), ascending, and its scores None."""
+    out, pi = [], 0  # pi: the next phrase clause's index into hits
+    for plan in plans:
+        if isinstance(plan, tuple):  # a bare or weighted OR query: no masks
+            chunks_d, chunks_c = [], []
+            _pair_docs(shard[None], posts[None], plan, stats[None], chunks_d, chunks_c)
+            out.append(_accumulate(chunks_d, chunks_c))
+            continue
+        scoring = plan.get("score", True)
+        chunks_d, chunks_c, must, nots = [], [], [], []
+        for c in plan["clauses"]:
+            f = c["field"]
+            scores = scoring and c["occur"] != MUST_NOT
+            if c["kind"] == "phrase":
+                n_docs, avgdl, _df = stats[f]
+                for u, (docs, counts) in zip(shard[f], hits[pi]):
+                    if scores and len(docs):
+                        chunks_d.append(docs)
+                        chunks_c.append(c["boost"] * idf(n_docs, phrase_df[pi])
+                                        * _wd(counts, u.idx.doc_len(docs), avgdl))
+                match = np.concatenate([_NO_DOCS, *(d for d, _ in hits[pi])])
+                pi += 1
+            else:
+                docs = _pair_docs(shard[f], posts[f], c["pairs"], stats[f],
+                                  chunks_d if scores else None, chunks_c)
+                if c["occur"] == SHOULD:
+                    continue  # membership comes from the scoring union
+                if c["must_all"]:
+                    match = functools.reduce(
+                        lambda a, b: np.intersect1d(a, b, assume_unique=True),
+                        [np.concatenate([_NO_DOCS, *d]) for d in docs])
+                else:
+                    match = np.unique(np.concatenate([_NO_DOCS, *(a for d in docs for a in d)]))
+            if c["occur"] == MUST:
+                must.append(match)
+            elif c["occur"] == MUST_NOT:
+                nots.append(match)
+        if scoring:
+            uniq, acc = _accumulate(chunks_d, chunks_c)
+            masks = [np.isin(uniq, ms, assume_unique=True) for ms in must]
+        else:
+            uniq, acc, masks = None, None, []
+            for ms in sorted(must, key=len):  # rarest-first
+                uniq = ms if uniq is None else uniq[np.isin(uniq, ms, assume_unique=True)]
+            if uniq is None:  # pure NOT: the shard's live docids
+                live = [u.idx.doclens.docids().astype(np.uint64)
+                        for u in shard[plan.get("field")]]
+                uniq = np.concatenate([_live(u, d, d)[0] for u, d in
+                                       zip(shard[plan.get("field")], live)])
+            uniq = np.sort(uniq.astype(np.int64))
+        if nots:
+            masks.append(~np.isin(uniq, np.unique(np.concatenate(nots)), assume_unique=True))
+        if plan.get("lang") is not None or plan.get("ts_range") is not None:
+            masks.append(shard[plan.get("field")][0].idx.docvalue_mask(
+                uniq, plan.get("lang"), plan.get("ts_range")))
+        if masks:
+            keep = np.logical_and.reduce(masks)
+            uniq, acc = uniq[keep], None if acc is None else acc[keep]
+        out.append((uniq, acc))
+    return out
+
+
+def _fetch(terms: dict, shard: dict) -> dict:
+    """{field: each unit's postings of its ``terms``} — one bucket-grouped
+    lookup per unit."""
+    return {f: [u.idx.lookup(ts) for u in shard[f]] for f, ts in terms.items()}
+
+
+def execute(plans: list, shards: "list[dict]", stats: dict) -> list:
+    """The executor, in-process: run ``plans`` over ``shards`` and return,
+    per shard, each plan's (docids, scores) after its masks.
+
+    A shard maps each field to the ``Unit``s one accumulation covers (a
+    single reader's plans use field None): a local reader runs ONE shard
+    holding all its units, a distributed surface one shard per unit.
+    ``stats`` maps each field to (n_docs, avgdl, df): df None takes each
+    term's df from its posting row (a monolithic index's row df is
+    global), a dict is the global df, and a callable (a reader's
+    ``df_of``) resolves after the units' postings are fetched, so it
+    answers from the lookup cache.  Phase 1 finds every unit's live phrase
+    matches and sums them to the global phrase df; phase 2 scores each
+    shard.  Each live doc lives in exactly one unit, so shard results are
+    disjoint and each doc's float64 adds run in clause order, as in one
+    monolithic scan."""
+    terms = _plan_terms(plans)
+    posts = [_fetch(terms, s) for s in shards]
+    stats = _resolve_df(stats, terms)
+    phrases = _phrase_clauses(plans)
+    hits = [_shard_phrases(phrases, s) if phrases else [] for s in shards]
+    pdf = _phrase_df(hits) if phrases else []
+    return [_score_shard(plans, s, post, stats, h, pdf)
+            for s, post, h in zip(shards, posts, hits)]
+
+
+def _unit_task(spec: dict, plans: list, k: int, stats=None, hits=None, phrase_df=None):
+    """The one shard-side Ray task: open the shard ``spec`` — {field:
+    [(index_dir, lo, hi, dead)]} — where its doclens live, so decoded
+    postings never leave it.  Without ``stats``, phase 1: the shard's live
+    phrase matches; with them, phase 2: each plan's partial top-k."""
+    shard = {f: [Unit(BM25Index(d), lo, hi, dead) for d, lo, hi, dead in us]
+             for f, us in spec.items()}
+    if stats is None:
+        return _shard_phrases(_phrase_clauses(plans), shard)
+    parts = _score_shard(plans, shard, _fetch(_plan_terms(plans), shard), stats, hits,
+                         phrase_df)
+    return [_topk(d, s, k) for d, s in parts]
+
+
+def _fan_out(task, plans: list, shards: "list[dict]", stats: dict, k: int):
+    """Every distributed surface: one ``task`` (``ray.remote(_unit_task)``)
+    per shard, then one k-list merge per plan.  Callable dfs resolve at
+    the driver (``df_of`` reads (term, df) columns, never a posting blob).
+    A plan with phrases takes two rounds: phase 1 returns each shard's
+    live phrase matches, whose counts sum to the global phrase df, and
+    each shard's matches ship back to its own phase-2 task, so position
+    intersection runs once per (phrase, unit)."""
+    import ray
+
+    specs = [{f: [(u.idx.index_dir, u.lo, u.hi, u.dead) for u in us] for f, us in s.items()}
+             for s in shards]
+    stats = _resolve_df(stats, _plan_terms(plans))
+    hits, pdf = [[]] * len(specs), []
+    if _phrase_clauses(plans):
+        hits = ray.get([task.remote(s, plans, k) for s in specs])
+        pdf = _phrase_df(hits)
+    parts = ray.get([task.remote(s, plans, k, stats, h, pdf) for s, h in zip(specs, hits)])
+    return [_merge_topk([p[i] for p in parts], k) for i in range(len(plans))]
+
+
+def hits_table(per_query_hits, extra: "tuple[str, ...]" = (),
+               value: tuple = ("score", pa.float64()),
+               key: tuple = ("query_id", pa.int32())) -> pa.Table:
+    """The one ranked-hits table: (query_id, *extra, rank, docid, score)
+    rows from (key, ranked (docid, score) hits) pairs.  A pair's key is
+    the query id, or (query id, *values) for the ``extra`` string
+    columns; ``value`` and ``key`` name and type the score and query-id
+    columns."""
+    cols: "list[list]" = [[] for _ in range(4 + len(extra))]
+    for qkey, hits in per_query_hits:
+        qkey = qkey if extra else (qkey,)
+        for rank, (d, v) in enumerate(hits, start=1):
+            for col, x in zip(cols, (*qkey, rank, d, v)):
+                col.append(x)
+    names = [key[0], *extra, "rank", "docid", value[0]]
+    types = [key[1], *[pa.string()] * len(extra), pa.int32(), pa.int64(), value[1]]
+    return pa.table({n: pa.array(c, type=t) for n, c, t in zip(names, cols, types)})
+
+
+class _Reader:
+    """The one reader interface of ``BM25Index`` and ``SegmentedBM25``:
+    every read method compiles to a plan and runs ``execute`` over the
+    reader's ``units()`` with its ``_stats()`` — n_docs, avgdl and the df
+    source (``df_of``)."""
+
+    def _run(self, plan) -> "tuple[np.ndarray, np.ndarray | None]":
+        """One plan over this reader's units, as one shard: (docids
+        ascending int64, scores)."""
+        return execute([plan], [{None: self.units()}], {None: self._stats()})[0][0]
+
+    def _filtered(self, query: str, lang=None, ts_range=None):
+        """The plan of ``query``'s unique terms, boost 1.0 each (``1.0 *
+        idf`` is exactly ``idf``), under the docvalue filters.  A filter
+        checks its sidecar first, so a missing one raises even when
+        nothing matches."""
+        pairs = tuple((t, 1.0) for t in _query_terms(query))
+        if lang is None and ts_range is None:
+            return pairs
+        self.docvalue_mask(_NO_DOCS, lang, ts_range)
+        return {"clauses": [{"occur": SHOULD, "field": None, "kind": "pairs",
+                             "pairs": pairs, "must_all": False}],
+                "lang": lang, "ts_range": ts_range}
+
+    def score_all(self, query: str) -> "tuple[np.ndarray, np.ndarray]":
+        """Full exact accumulation over every matching doc (no top-k cut):
+        (docids ascending int64, scores float64).  This is the per-field
+        feed for BM25F combination; ``search`` is exactly this + the
+        (score desc, docid asc) lexsort cut."""
+        return self._run(self._filtered(query))
+
+    def search(self, query: str, k: int = 10) -> list[tuple[int, float]]:
+        """Exact top-k: ``score_all`` + the (score desc, docid asc) cut;
+        candidate sets are bounded by query-term df (``search_pruned`` is
+        the stopword-heavy path)."""
+        return _topk(*self.score_all(query), k)
+
+    def search_weighted(
+        self, clauses: "list[tuple[str, float]]", k: int = 10
+    ) -> list[tuple[int, float]]:
+        """Exact top-k over weighted OR clauses: each (term, boost) clause
+        contributes ``boost * idf(df) * wd`` and per-doc accumulation runs
+        in CLAUSE order (``search`` == search_weighted with boost 1.0 per
+        unique query term).  This is the boosted-query primitive behind
+        relevance feedback (pipelines/fulltext.feedback_topk) and the
+        Lucene BoostQuery analog."""
+        return _topk(*self._run(tuple(clauses)), k)
+
+    def search_filtered(
+        self,
+        query: str,
+        k: int = 10,
+        lang: "str | None" = None,
+        ts_range: "tuple[int, int] | None" = None,
+    ) -> list[tuple[int, float]]:
+        """Attribute-FILTERED exact top-k (``search_after`` page one): the
+        full accumulation, then ``docvalue_mask``, then the pinned (score
+        desc, docid asc) cut — so results are rank-AND-score-identical to
+        post-filtering the unfiltered full ranking (tested), the classic
+        filtered-query semantics (Lucene FilteredQuery / the reference's
+        predicate-below-topk plans)."""
+        return self.search_after(query, k, None, lang, ts_range)
+
+    def search_after(
+        self,
+        query: str,
+        k: int = 10,
+        after: "tuple[int, float] | None" = None,
+        lang: "str | None" = None,
+        ts_range: "tuple[int, int] | None" = None,
+    ) -> list[tuple[int, float]]:
+        """Deep pagination — the Lucene/Elasticsearch ``searchAfter``
+        analog: the next ``k`` results strictly AFTER the cursor
+        ``after = (docid, score)`` — a HIT TUPLE exactly as returned, so
+        ``after=page[-1]`` is the whole paging protocol — in the engine's
+        total result order (score desc, docid asc).  Page-by-page
+        concatenation reconstructs the full ranking exactly (tested),
+        because the cursor is a strict total-order cut, not an offset;
+        each page re-runs the accumulation (candidates are bounded by
+        query df, same as ``search``).  ``after=None`` is page one (==
+        ``search``); ``lang`` / ``ts_range`` compose the docvalue filters
+        (``docvalue_mask``)."""
+        uniq, acc = self._run(self._filtered(query, lang, ts_range))
+        if after is not None:
+            d0, s0 = int(after[0]), float(after[1])
+            keep = (acc < s0) | ((acc == s0) & (uniq > d0))
+            uniq, acc = uniq[keep], acc[keep]
+        return _topk(uniq, acc, k)
+
+    def search_sorted_by_ts(
+        self,
+        query: str,
+        k: int = 10,
+        descending: bool = True,
+        lang: "str | None" = None,
+        ts_range: "tuple[int, int] | None" = None,
+    ) -> "list[tuple[int, int]]":
+        """Sort-by-field retrieval (Lucene SortField / ES ``sort`` analog):
+        the ``k`` docs matching >= 1 query term ordered by the numeric
+        warc_ts docvalue — (ts desc, docid asc) by default, i.e. "newest
+        matching" — instead of BM25 score.  Returns (docid, ts) pairs.
+        The match set is ``score_all``'s candidate union; ``lang`` /
+        ``ts_range`` compose the same ``docvalue_mask`` as
+        ``search_filtered``."""
+        uniq, _acc = self._run(self._filtered(query, lang, ts_range))
+        ts = self.numeric_docvalue(uniq)
+        order = np.lexsort((uniq, -ts if descending else ts))[:k]
+        return [(int(uniq[i]), int(ts[i])) for i in order]
+
+    def date_histogram(
+        self,
+        query: str,
+        interval: int,
+        lang: "str | None" = None,
+    ) -> "list[tuple[int, int]]":
+        """Date-histogram aggregation over the match set (the ES
+        ``date_histogram`` facet): docs matching >= 1 query term bucketed
+        by ``floor(ts / interval) * interval`` over the numeric sidecar —
+        one gather + one bincount, zero corpus reads.  Returns sorted
+        (bucket_start, n_docs) pairs, empty buckets omitted.  ``lang``
+        composes the categorical mask."""
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+        uniq, _acc = self._run(self._filtered(query, lang))
+        ts = self.numeric_docvalue(uniq)
+        buckets = (ts // int(interval)) * int(interval)
+        vals, counts = np.unique(buckets, return_counts=True)
+        return [(int(b), int(c)) for b, c in zip(vals, counts)]
+
+    def search_boolean(
+        self,
+        must: "list[str] | None" = None,
+        should: "list[str] | None" = None,
+        must_not: "list[str] | None" = None,
+    ) -> np.ndarray:
+        """Unranked boolean retrieval: docids satisfying
+        (AND of ``must``) ∧ (OR of ``should``, when given) ∧ ¬(ANY of
+        ``must_not``), ascending uint64 — a non-scoring plan: each MUST
+        token is a MUST clause, the SHOULD tokens one MUST clause matching
+        their union, each NOT token a NOT clause; with no MUST clause the
+        candidates are the reader's live docids (reference analog:
+        IndexScan Exact/range kinds,
+        src/include/planner/plannodes/plan_node_defs.h:143-152).
+
+        Terms are normalized with the index tokenizer; an unindexed MUST
+        term yields the empty result (AND with ∅)."""
+        def clause(occur, terms):
+            return {"occur": occur, "field": None, "kind": "pairs",
+                    "pairs": tuple((t, 1.0) for t in terms), "must_all": False}
+
+        def tokens(qs):
+            return [t for q in (qs or []) for t in _query_terms(q)]
+
+        clauses = [clause(MUST, [t]) for t in tokens(must)]
+        if tokens(should):
+            clauses.append(clause(MUST, tokens(should)))
+        clauses += [clause(MUST_NOT, [t]) for t in tokens(must_not)]
+        return self._run({"clauses": clauses, "score": False})[0].astype(np.uint64)
 
 
 class DocidColumn:
@@ -221,7 +766,7 @@ class DocidColumn:
         return out
 
 
-class BM25Index:
+class BM25Index(_Reader):
     """Query-side index handle: memmaps the doclen sidecar, reads posting
     buckets lazily with parquet predicate pushdown, caches per-term postings.
 
@@ -466,18 +1011,25 @@ class BM25Index:
         return result
 
     def df_of(self, terms: "list[str]") -> "dict[str, int]":
-        """Per-term document frequency WITHOUT decoding postings — a
-        (term, df) column read of the probed buckets' pruned row groups,
+        """Per-term document frequency WITHOUT decoding postings: a term
+        already in the postings cache answers from its row, any other from
+        a (term, df) column read of the probed buckets' pruned row groups,
         summing salted parts exactly as ``_merge_parts`` does.  Terms absent
         from the index are omitted.  This is the cheap stats feed for
-        distributed segmented scoring: global idf needs every segment's df
-        but none of their posting blobs."""
-        out: dict[str, int] = {t: 0 for t in terms}
-        if not terms:
-            return {}
-        th = term_hash(np.asarray(terms, dtype=object))
+        segmented scoring: global idf needs every segment's df but none of
+        their posting blobs."""
+        out: dict[str, int] = {}
+        rest = []
+        for t in terms:
+            if t in self._cache:
+                if self._cache[t] is not None:
+                    out[t] = self._cache[t][0]
+            else:
+                out[t] = 0
+                rest.append(t)
+        th = term_hash(np.asarray(rest, dtype=object)) if rest else []
         by_bucket: dict[int, list[str]] = {}
-        for t, h in zip(terms, th):
+        for t, h in zip(rest, th):
             for b in self._buckets_of(t, int(h)):
                 by_bucket.setdefault(b, []).append(t)
         for bucket, ts in by_bucket.items():
@@ -489,38 +1041,16 @@ class BM25Index:
                 out[term] += int(df)
         return {t: v for t, v in out.items() if v > 0}
 
-    # ------------------------------------------------------------------
-    # exact term-at-a-time scoring (vectorized; the bench default)
-    # ------------------------------------------------------------------
+    def units(self, sharded: bool = False, num_shards: "int | None" = None):
+        """The executor's units: the whole index, or with ``sharded`` one
+        unit per ``doclen_shard_ranges`` docid range."""
+        if not sharded:
+            return [Unit(self)]
+        return [Unit(self, lo, hi) for lo, hi in doclen_shard_ranges(self, num_shards)]
 
-    def score_all(self, query: str) -> "tuple[np.ndarray, np.ndarray]":
-        """Full exact accumulation over every matching doc (no top-k cut):
-        (docids ascending int64, scores float64).  This is the per-field
-        feed for BM25F combination; ``search`` is exactly this + the
-        (score desc, docid asc) lexsort cut.  Each unique query term is a
-        boost-1.0 clause (``1.0 * idf`` is exactly ``idf``)."""
-        return self._score_clauses([(t, 1.0) for t in _query_terms(query)])
-
-    def _score_clauses(
-        self, clauses: "list[tuple[str, float]]"
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Exact accumulation of weighted (term, boost) clauses in clause
-        order: each contributes ``boost * idf(df) * wd`` per posting."""
-        post = self.lookup([t for t, _ in clauses])
-        chunks_d, chunks_c = [], []
-        for t, boost in clauses:
-            p = post.get(t)
-            if p is None:
-                continue
-            chunks_d.append(p[1].astype(np.int64))
-            chunks_c.append(boost * idf(self.n_docs, p[0]) * self._wd_of(t, p))
-        return _accumulate(chunks_d, chunks_c)
-
-    def search(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        """Exact top-k: ``score_all`` + the (score desc, docid asc) cut;
-        candidate sets are bounded by query-term df (``search_pruned`` is
-        the stopword-heavy path)."""
-        return _topk(*self.score_all(query), k)
+    def _stats(self):
+        # a monolithic index's posting-row df is already global
+        return (self.n_docs, self.avgdl, None)
 
     # ------------------------------------------------------------------
     # docvalues (categorical forward index; Lucene DocValues analog)
@@ -613,111 +1143,6 @@ class BM25Index:
             ts = self.numeric_docvalue(docids)
             keep &= (ts >= int(ts_range[0])) & (ts < int(ts_range[1]))
         return keep
-
-    def search_filtered(
-        self,
-        query: str,
-        k: int = 10,
-        lang: "str | None" = None,
-        ts_range: "tuple[int, int] | None" = None,
-    ) -> list[tuple[int, float]]:
-        """Attribute-FILTERED exact top-k (``search_after`` page one): the
-        full ``score_all`` accumulation, then ``docvalue_mask``, then the
-        pinned (score desc, docid asc) cut — so results are rank-AND-score-
-        identical to post-filtering the unfiltered full ranking (tested),
-        the classic filtered-query semantics (Lucene FilteredQuery / the
-        reference's predicate-below-topk plans)."""
-        return self.search_after(query, k, None, lang, ts_range)
-
-    def search_after(
-        self,
-        query: str,
-        k: int = 10,
-        after: "tuple[int, float] | None" = None,
-        lang: "str | None" = None,
-        ts_range: "tuple[int, int] | None" = None,
-    ) -> list[tuple[int, float]]:
-        """Deep pagination — the Lucene/Elasticsearch ``searchAfter``
-        analog: the next ``k`` results strictly AFTER the cursor
-        ``after = (docid, score)`` — a HIT TUPLE exactly as returned, so
-        ``after=page[-1]`` is the whole paging protocol — in the
-        engine's total result order
-        (score desc, docid asc).  Page-by-page concatenation reconstructs
-        the full ranking exactly (tested), because the cursor is a strict
-        total-order cut, not an offset.  What the cursor buys is a
-        bounded RESULT set per page — page N never ships or merges pages
-        1..N-1, which on the distributed shape means O(k) per shard
-        k-list instead of O(d+k) deep-prefix heaps everywhere; this
-        single-handle implementation still re-runs the full TAAT
-        accumulation + candidate sort per page (candidates are bounded
-        by query df, same as ``search``).  ``after=None`` is
-        page one (== ``search``); ``lang`` / ``ts_range`` compose the
-        docvalue filters (``docvalue_mask``)."""
-        uniq, acc = self.score_all(query)
-        if not len(uniq):
-            return []
-        keep = self.docvalue_mask(uniq, lang, ts_range)
-        if after is not None:
-            d0, s0 = int(after[0]), float(after[1])
-            keep &= (acc < s0) | ((acc == s0) & (uniq > d0))
-        return _topk(uniq[keep], acc[keep], k)
-
-    def search_sorted_by_ts(
-        self,
-        query: str,
-        k: int = 10,
-        descending: bool = True,
-        lang: "str | None" = None,
-        ts_range: "tuple[int, int] | None" = None,
-    ) -> "list[tuple[int, int]]":
-        """Sort-by-field retrieval (Lucene SortField / ES ``sort`` analog):
-        the ``k`` docs matching >= 1 query term ordered by the numeric
-        warc_ts docvalue — (ts desc, docid asc) by default, i.e. "newest
-        matching" — instead of BM25 score.  Returns (docid, ts) pairs.
-        The match set is ``score_all``'s candidate union (same lookup
-        path, no score math consumed); ``lang`` / ``ts_range`` compose
-        the same ``docvalue_mask`` as ``search_filtered``."""
-        uniq, _acc = self.score_all(query)
-        if not len(uniq):
-            return []
-        uniq = uniq[self.docvalue_mask(uniq, lang, ts_range)]
-        ts = self.numeric_docvalue(uniq)
-        order = np.lexsort((uniq, -ts if descending else ts))[:k]
-        return [(int(uniq[i]), int(ts[i])) for i in order]
-
-    def date_histogram(
-        self,
-        query: str,
-        interval: int,
-        lang: "str | None" = None,
-    ) -> "list[tuple[int, int]]":
-        """Date-histogram aggregation over the match set (the ES
-        ``date_histogram`` facet): docs matching >= 1 query term bucketed
-        by ``floor(ts / interval) * interval`` over the numeric sidecar —
-        one gather + one bincount, zero corpus reads.  Returns sorted
-        (bucket_start, n_docs) pairs, empty buckets omitted.  ``lang``
-        composes the categorical mask."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        uniq, _acc = self.score_all(query)
-        if not len(uniq):
-            return []
-        ts = self.numeric_docvalue(uniq[self.docvalue_mask(uniq, lang)])
-        buckets = (ts // int(interval)) * int(interval)
-        vals, counts = np.unique(buckets, return_counts=True)
-        return [(int(b), int(c)) for b, c in zip(vals, counts)]
-
-    def search_weighted(
-        self, clauses: "list[tuple[str, float]]", k: int = 10
-    ) -> list[tuple[int, float]]:
-        """Exact top-k over weighted OR clauses: each (term, boost) clause
-        contributes ``boost * idf(df) * wd`` and per-doc accumulation runs
-        in CLAUSE order (float64, same element-order np.add.at discipline
-        as ``search``; ``search`` == search_weighted with boost 1.0 per
-        unique query term).  This is the boosted-query primitive behind
-        relevance feedback (pipelines/fulltext.feedback_topk) and the
-        Lucene BoostQuery analog."""
-        return _topk(*self._score_clauses(clauses), k)
 
     # ------------------------------------------------------------------
     # fuzzy term matching (Lucene FuzzyQuery analog)
@@ -832,16 +1257,20 @@ class BM25Index:
         ``search``, so scores are bit-identical to the scalar oracle loop.
         Rank: score desc, docid asc.
         """
-        terms = _query_terms(query)
-        clauses: list[tuple[str, float]] = []  # (variant, boost) in order
-        for t in terms:
-            for cand, ed, _df in self.fuzzy_expand(
-                t, max_edits=max_edits, prefix_len=prefix_len,
-                max_expansions=max_expansions,
-            ):
-                boost = 1.0 if ed == 0 else 1.0 - ed / min(len(t), len(cand))
-                clauses.append((cand, boost))
+        clauses = [pair for t in _query_terms(query)
+                   for pair in self.fuzzy_pairs(t, max_edits, prefix_len, max_expansions)]
         return self.search_weighted(clauses, k=k)
+
+    def fuzzy_pairs(self, term: str, max_edits: int = 1, prefix_len: int = 1,
+                    max_expansions: int = 50) -> "list[tuple[str, float]]":
+        """``fuzzy_expand``'s variants as weighted (variant, boost) pairs,
+        ``boost = 1 - ed / min(len(term), len(variant))`` (1.0 for an
+        exact dictionary hit) — the one fuzzy weight, shared by
+        ``search_fuzzy`` and the query language's ``term~e``."""
+        return [(v, 1.0 - ed / max(1, min(len(term), len(v))))
+                for v, ed, _df in self.fuzzy_expand(
+                    term, max_edits=max_edits, prefix_len=prefix_len,
+                    max_expansions=max_expansions)]
 
     # ------------------------------------------------------------------
     # MaxScore-pruned exact term-at-a-time (the big-corpus serving path)
@@ -1216,64 +1645,24 @@ class BM25Index:
         pos = np.concatenate(pos_parts)
         return docs, counts, np.repeat(docs, counts), pos
 
-    # ------------------------------------------------------------------
-    # boolean retrieval (unranked set algebra over sorted docid lists)
-    # ------------------------------------------------------------------
 
-    def search_boolean(
-        self,
-        must: "list[str] | None" = None,
-        should: "list[str] | None" = None,
-        must_not: "list[str] | None" = None,
-    ) -> np.ndarray:
-        """Unranked boolean retrieval: docids satisfying
-        (AND of ``must``) ∧ (OR of ``should``, when given) ∧ ¬(ANY of
-        ``must_not``), ascending.  Posting lists are docid-sorted, so the
-        set algebra is vectorized numpy intersect/union/setdiff — the
-        classic conjunctive/disjunctive query path next to ranked BM25
-        (reference analog: IndexScan Exact/range kinds,
-        src/include/planner/plannodes/plan_node_defs.h:143-152).
-
-        Terms are normalized with the index tokenizer; an unindexed MUST
-        term yields the empty result (AND with ∅)."""
-        must = [t for q in (must or []) for t in _query_terms(q)]
-        should = [t for q in (should or []) for t in _query_terms(q)]
-        must_not = [t for q in (must_not or []) for t in _query_terms(q)]
-        post = self.lookup(list(dict.fromkeys(must + should + must_not)))
-
-        def dids(term: str) -> np.ndarray:
-            p = post.get(term)
-            return np.empty(0, dtype=np.uint64) if p is None else p[1]
-
-        acc: np.ndarray | None = None
-        # rarest-first: every later intersection works on the smallest set
-        for t in sorted(must, key=lambda t: len(dids(t))):
-            d = dids(t)
-            acc = d if acc is None else acc[np.isin(acc, d, assume_unique=True)]
-            if len(acc) == 0:
-                break
-        if should:
-            uni = np.unique(np.concatenate([dids(t) for t in should]))
-            acc = uni if acc is None else acc[np.isin(acc, uni, assume_unique=True)]
-        if acc is None:  # pure NOT query: complement over the corpus docids
-            acc = self.doclens.docids().astype(np.uint64)  # sorted, unique
-        if must_not and len(acc):
-            excl = np.unique(np.concatenate([dids(t) for t in must_not]))
-            acc = acc[~np.isin(acc, excl, assume_unique=True)]
-        return np.sort(acc)
-
-
-class SegmentedBM25:
+class SegmentedBM25(_Reader):
     """Append-only segmented index — the incremental-update pattern (new
     documents build a DELTA segment with ``build_index``; no monolithic
-    rebuild).  Queries merge segments at read time with EXACT global stats:
-    n_docs and total_dl sum as integers, per-term df sums across segments,
-    so every posting's contribution is bit-identical to an index built over
-    the union corpus, and the per-doc float accumulation order (query-term
-    major) is unchanged because within a term each doc contributes exactly
-    one posting from exactly one segment.  ``search`` is therefore
-    rank-AND-score-identical to the monolithic index (asserted in
-    tests/test_index_bm25.py).
+    rebuild).  Queries run the executor over one unit per segment (one
+    shard, one accumulation) with EXACT global stats: n_docs and total_dl sum as integers and per-term
+    df sums across segments (``df_of``), so every posting's contribution
+    is bit-identical to an index built over the union corpus, and each
+    live doc's float adds run in clause order inside its one segment.
+    Every read method of ``BM25Index`` that does not need a merged term
+    dictionary or a docvalue sidecar — ``search``, ``score_all``,
+    ``search_weighted``, ``search_after``, ``search_boolean``, and the
+    query-string engine's terms, boosts, MUST/NOT, phrases and proximity —
+    is rank-AND-score-identical to the monolithic index (tested).  Three
+    things raise ``ValueError`` here: prefix and fuzzy expansion (they
+    need a term dictionary merged across segments), and docvalue filters,
+    sorting and histograms (DML snapshot segments carry no ``lang``
+    sidecar).  Compact first for those.
 
     Contract: LIVE doc sets are disjoint across segments — append-only
     ingest keeps them disjoint by construction, and an UPDATE keeps the
@@ -1288,11 +1677,11 @@ class SegmentedBM25:
     from the segments' own corpus epochs, so the tokenization is the
     index's own).  n_docs / avgdl / idf are adjusted with integer deltas
     and dead docids are masked out of the postings PER SEGMENT (the
-    sidecar's ``seg`` column), so search stays bit-identical to an index
-    REBUILT over the remaining docs — not the Lucene approximation where
-    df/avgdl go stale until a merge.  Per-segment scoping is what makes
-    UPDATE work: the same docid is dead in the base segment and live in
-    the delta carrying its new body (segments.sync_snapshot_dml).
+    sidecar's ``seg`` column, carried by each ``Unit``), so search stays
+    bit-identical to an index REBUILT over the remaining docs — not the
+    Lucene approximation where df/avgdl go stale until a merge.
+    Per-segment scoping is what makes UPDATE work: the same docid is dead
+    in the base segment and live in the delta carrying its new body.
     Tombstone ranges must be disjoint (one per DML version step, like
     segments)."""
 
@@ -1313,21 +1702,17 @@ class SegmentedBM25:
         self._del_by_seg: dict[str, np.ndarray] = {}
         self._df_del: dict[str, int] = {}
         if tombstone_dirs:
-            import json
-
-            import pyarrow.parquet as _pq
-
             raw: dict[str, list[np.ndarray]] = {}
             for td in tombstone_dirs:
                 with open(os.path.join(td, "meta.json")) as f:
                     meta = json.load(f)
                 self.n_docs -= int(meta["n_del"])
                 total_dl -= int(meta["dl_del"])
-                dtab = _pq.read_table(os.path.join(td, "deleted.parquet"))
+                dtab = pq.read_table(os.path.join(td, "deleted.parquet"))
                 d = dtab.column("docid").to_numpy(zero_copy_only=False)
                 for sname, did in zip(dtab.column("seg").to_pylist(), d):
                     raw.setdefault(sname, []).append(did)
-                ttab = _pq.read_table(os.path.join(td, "termdeltas.parquet"))
+                ttab = pq.read_table(os.path.join(td, "termdeltas.parquet"))
                 for t, c in zip(ttab.column("term").to_pylist(),
                                 ttab.column("df_del").to_pylist()):
                     self._df_del[t] = self._df_del.get(t, 0) + int(c)
@@ -1344,105 +1729,56 @@ class SegmentedBM25:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(list(self._del_by_seg.values())))
 
-    def search(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        """Exact top-k over every segment's live docs: per-term global df
-        from the segments' posting rows (``lookup``) minus the tombstone
-        df deltas, then each segment's postings through the dead-mask-and-
-        weigh step the shard primitive uses (``_live_weights``)."""
-        terms = _query_terms(query)
-        posts = [seg.lookup(terms) for seg in self.segments]
-        chunks_d, chunks_c = [], []
-        for t in terms:
-            df_total = sum(
-                p[t][0] for p in posts if p.get(t) is not None
-            ) - self._df_del.get(t, 0)
-            if df_total <= 0:
-                continue
-            w = idf(self.n_docs, df_total)
-            for seg, sname, post in zip(self.segments, self._seg_names, posts):
-                p = post.get(t)
-                if p is None:
-                    continue
-                d, wd = _live_weights(
-                    seg, p[1], p[2], self.avgdl, self._del_by_seg.get(sname)
-                )
-                chunks_d.append(d)
-                chunks_c.append(w * wd)
-        return _topk(*_accumulate(chunks_d, chunks_c), k)
+    def units(self, sharded: bool = False, num_shards: "int | None" = None):
+        """The executor's units: one per segment, carrying that segment's
+        dead docids; with ``sharded``, one per (segment, doclen range)."""
+        return [
+            Unit(seg, lo, hi, self._del_by_seg.get(name, _NO_DOCS))
+            for seg, name in zip(self.segments, self._seg_names)
+            for lo, hi in (doclen_shard_ranges(seg, num_shards) if sharded
+                           else [(0, _END)])
+        ]
 
+    def _stats(self):
+        return (self.n_docs, self.avgdl, self.df_of)
 
-def _score_range_topk(
-    index_dir: str, lo: int, hi: int,
-    per_query_terms: "list[list[str]]", k: int,
-    filter_lang: "str | None" = None,
-    filter_ts: "tuple[int, int] | None" = None,
-    stats: "tuple[int, float, dict[str, int]] | None" = None,
-    dead: "np.ndarray | None" = None,
-):
-    """Shard-side scoring, the ONE primitive behind ``DistributedBM25`` and
-    ``DistributedSegmentedBM25``: score every query against the docid
-    range [lo, hi) of one index and return per-query partial top-k lists.
+    def df_of(self, terms: "list[str]") -> "dict[str, int]":
+        """Global df over the live docs: the segments' summed posting-row
+        df minus the tombstones' df deltas; terms with no live doc are
+        omitted.  Terms a search just looked up answer from each segment's
+        postings cache."""
+        out: dict[str, int] = {}
+        for seg in self.segments:
+            for t, v in seg.df_of(terms).items():
+                out[t] = out.get(t, 0) + v
+        out = {t: v - self._df_del.get(t, 0) for t, v in out.items()}
+        return {t: v for t, v in out.items() if v > 0}
 
-    Runs where the range's doclens live (BM25Index memmaps only the pages
-    its range touches).  A monolithic index is one segment with no
-    tombstones: its df in the posting rows is GLOBAL (the fold pass sums
-    salted parts) and n_docs / avgdl are its own.  A segment of a
-    ``SegmentedBM25`` gets the global ``stats = (n_docs, avgdl, df)`` —
-    the integer-exact tombstone adjustments, df summed over segments minus
-    the tombstones' df deltas — and its ``dead`` docids, masked before
-    doc_len exactly as ``SegmentedBM25.search`` does.  Contributions
-    accumulate in query-term order with the pinned float64 expression and
-    each live doc lives in exactly ONE (segment, range), so the merged
-    k-lists are rank-AND-score-identical to the local search.
-    ``filter_lang`` / ``filter_ts`` apply ``docvalue_mask`` in-shard after
-    accumulation, where the range's attribute pages live — the
-    ``search_filtered`` semantics.  Sandbox note: posting rows decode fully
-    and slice to the range; a cluster deployment document-partitions the
-    postings per shard (the fmt-2 multi-part rows are already docid-range
-    parts, so per-range decode is a layout detail, not a redesign)."""
-    idx = BM25Index(index_dir)
-    if stats is None:
-        n_docs, avgdl, df_global = idx.n_docs, idx.avgdl, None
-    else:
-        n_docs, avgdl, df_global = stats
-    post = idx.lookup(sorted({t for ts in per_query_terms for t in ts}))
-    results = []
-    for terms in per_query_terms:
-        chunks_d, chunks_c = [], []
-        for t in terms:
-            p = post.get(t)
-            if p is None:
-                continue
-            df = p[0] if df_global is None else df_global.get(t, 0)
-            if df <= 0:
-                continue
-            d, wd = _live_weights(idx, *_slice_range(p, lo, hi), avgdl, dead)
-            chunks_d.append(d)
-            chunks_c.append(idf(n_docs, df) * wd)
-        uniq, acc = _accumulate(chunks_d, chunks_c)
-        if filter_lang is not None or filter_ts is not None:
-            keep = idx.docvalue_mask(uniq, filter_lang, filter_ts)
-            uniq, acc = uniq[keep], acc[keep]
-        results.append(_topk(uniq, acc, k))
-    return results
+    @property
+    def has_positions(self) -> bool:
+        return all(s.has_positions for s in self.segments)
+
+    def docvalue_mask(self, *args, **kwargs):
+        raise ValueError(
+            "a segmented index has no docvalues: DML snapshot segments carry "
+            "no lang sidecar (compact to filter, sort or facet)"
+        )
+
+    numeric_docvalue = docvalue_mask
 
 
 class DistributedSegmentedBM25:
-    """Shard-side scoring over a DML-maintained segmented index — the
-    ``search_many_sharded`` scale shape applied per segment, so the index
-    keeps its 1e12-doc serving path through INSERT/UPDATE/DELETE without
-    waiting for a compaction.
-
-    Global stats come from tiny sidecars driver-side (n_docs/avgdl via
-    SegmentedBM25's integer-exact tombstone adjustment; per-term df via
-    ``BM25Index.df_of`` column reads minus tombstone df deltas — no
-    posting blob ever decodes at the driver).  One ``_score_range_topk``
-    task per (segment, doclen-part docid range) scores every query against
-    its range with locally-memmapped doclens, masks ITS segment's dead
-    docids, and returns a partial top-k; the caller merges k-lists.
-    Live doc sets are disjoint across segments (SegmentedBM25 contract:
-    an update tombstones the old copy), so the merge is
-    rank-AND-score-identical to ``SegmentedBM25.search`` (tested)."""
+    """Shard-side scoring over a DML-maintained segmented index, so the
+    index keeps its 1e12-doc serving path through INSERT/UPDATE/DELETE
+    without waiting for a compaction.  Global stats come from tiny
+    sidecars at the driver (n_docs/avgdl via SegmentedBM25's integer-exact
+    tombstone adjustment; per-term df via ``SegmentedBM25.df_of`` — no
+    posting blob decodes at the driver); one ``_unit_task`` per (segment,
+    doclen-part docid range) unit scores every query against its range
+    with locally-memmapped doclens and ITS segment's dead docids, and the
+    driver merges the k-lists (``_fan_out``).  Live doc sets are disjoint
+    across units, so the merge is rank-AND-score-identical to
+    ``SegmentedBM25.search`` (tested)."""
 
     def __init__(
         self, segment_dirs: "list[str]",
@@ -1452,35 +1788,13 @@ class DistributedSegmentedBM25:
 
         self.local = SegmentedBM25(segment_dirs, tombstone_dirs=tombstone_dirs)
         self.segment_dirs = list(segment_dirs)
-        self._score = ray.remote(_score_range_topk)
+        self._task = ray.remote(_unit_task)
 
     def search_many(self, queries: "list[str]", k: int = 10):
         """Per-query top-k [(docid, score), ...] lists."""
-        import ray
-
-        per_query_terms = [_query_terms(q) for q in queries]
-        terms = sorted({t for ts in per_query_terms for t in ts})
-        df_global: dict[str, int] = {}
-        for seg in self.local.segments:
-            for t, v in seg.df_of(terms).items():
-                df_global[t] = df_global.get(t, 0) + v
-        for t, dd in self.local._df_del.items():
-            if t in df_global:
-                df_global[t] -= dd
-        stats = (self.local.n_docs, self.local.avgdl, df_global)
-        futs = [
-            self._score.remote(
-                sdir, lo, hi, per_query_terms, k, None, None, stats,
-                self.local._del_by_seg.get(sname),
-            )
-            for seg, sdir, sname in zip(
-                self.local.segments, self.segment_dirs, self.local._seg_names
-            )
-            for lo, hi in doclen_shard_ranges(seg, None)
-        ]
-        partials = ray.get(futs)
-        return [_merge_topk([part[qi] for part in partials], k)
-                for qi in range(len(queries))]
+        plans = [self.local._filtered(q) for q in queries]
+        shards = [{None: [u]} for u in self.local.units(sharded=True)]
+        return _fan_out(self._task, plans, shards, {None: self.local._stats()}, k)
 
 
 def doclen_shard_ranges(
@@ -1489,11 +1803,11 @@ def doclen_shard_ranges(
     """Docid ranges to score per shard task: the doclen parts' natural
     boundaries (each shard's doclens are one contiguous mmap), split
     further when ``num_shards`` asks for more parallelism.  The ONE range
-    discipline shared by every shard-side serving path (DistributedBM25
-    and QueryStringEngine) — each corpus docid lands in exactly one range,
-    so per-range partials merge exactly."""
+    discipline shared by every unit builder (``units(sharded=True)`` and
+    the query-string engine) — each corpus docid lands in exactly one
+    range, so per-range partials merge exactly."""
     lows = [int(lo) for lo in handle.doclens.lo]
-    bounds = lows + [1 << 63]
+    bounds = lows + [_END]
     ranges = list(zip(bounds[:-1], bounds[1:]))
     if num_shards is None or num_shards <= len(ranges):
         return ranges
@@ -1508,11 +1822,11 @@ def doclen_shard_ranges(
 
 class DistributedBM25:
     """Shard-side scatter-gather query execution, the 1e12-doc shape: the
-    docid space splits into range shards (the doclen sidecar's natural
-    boundaries), one ``_score_range_topk`` task per shard scores every
-    query against ITS docid range using its locally-memmapped doclens and
-    returns a partial top-k, and the caller merges k-lists — the
-    reference's parallel top-k merge
+    docid space splits into range units (the doclen sidecar's natural
+    boundaries), one ``_unit_task`` per unit scores every query against
+    ITS docid range using its locally-memmapped doclens and returns a
+    partial top-k, and the caller merges k-lists — the reference's
+    parallel top-k merge
     (/root/reference/src/execution/sql/sorter.cpp:424-430).  Decoded
     postings of hot terms never transit to one process; only k-row lists
     do.  Rank-AND-score-identical to ``BM25Index.search`` (disjoint
@@ -1523,7 +1837,7 @@ class DistributedBM25:
         self.local = BM25Index(index_dir)
         import ray
 
-        self._score_range = ray.remote(_score_range_topk)
+        self._task = ray.remote(_unit_task)
 
     def search_many_sharded(
         self,
@@ -1540,19 +1854,9 @@ class DistributedBM25:
         masks its own range from its local attribute sidecar pages before
         the cut), so merged results equal ``BM25Index.search_filtered`` —
         filtered docids never transit."""
-        import ray
-
-        per_query_terms = [_query_terms(q) for q in queries]
-        futs = [
-            self._score_range.remote(
-                self.index_dir, lo, hi, per_query_terms, k, filter_lang,
-                filter_ts,
-            )
-            for lo, hi in doclen_shard_ranges(self.local, num_shards)
-        ]
-        partials = ray.get(futs)
-        return [_merge_topk([part[qi] for part in partials], k)
-                for qi in range(len(queries))]
+        plans = [self.local._filtered(q, filter_lang, filter_ts) for q in queries]
+        shards = [{None: [u]} for u in self.local.units(True, num_shards)]
+        return _fan_out(self._task, plans, shards, {None: self.local._stats()}, k)
 
     def search_many(
         self, queries: "list[str]", k: int = 10, num_shards: "int | None" = None
@@ -1573,20 +1877,8 @@ class BM25Scorer:
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, ranks, docids, scores = [], [], [], []
-        for qid, text in zip(
-            batch.column("query_id").to_pylist(), batch.column("text").to_pylist()
-        ):
-            for rank, (d, s) in enumerate(self.index.search_pruned(text, self.k), start=1):
-                qids.append(qid)
-                ranks.append(rank)
-                docids.append(d)
-                scores.append(s)
-        return pa.table(
-            {
-                "query_id": pa.array(qids, type=pa.int32()),
-                "rank": pa.array(ranks, type=pa.int32()),
-                "docid": pa.array(docids, type=pa.int64()),
-                "score": pa.array(scores, type=pa.float64()),
-            }
+        return hits_table(
+            (qid, self.index.search_pruned(text, self.k))
+            for qid, text in zip(batch.column("query_id").to_pylist(),
+                                 batch.column("text").to_pylist())
         )

@@ -1841,7 +1841,11 @@ def build_index(
         )
         return [stats_path], {"n_docs": st["n_docs"], "heavy": len(st["heavy_terms"])}
 
-    epoch("stats", _input_fingerprint(corpus_dir, {"params": params}), stats_epoch)
+    # postings are built from this epoch's heavy terms and salts, and the
+    # postings epoch adds its fields to stats.json: a re-run of the stats
+    # epoch takes the postings down with it, so they re-run too
+    epoch("stats", _input_fingerprint(corpus_dir, {"params": params}), stats_epoch,
+          clear=(postings_dir,))
     with open(stats_path) as f:
         stats = json.load(f)
 

@@ -332,18 +332,18 @@ def sql_update_index_ingest(sf_dir: str):
     SegmentedBM25 over the result is bit-identical to a rebuild over the
     updated snapshot (asserted in tests/test_state.py).
 
-    Query-time serving goes through ``DistributedSegmentedBM25`` — shard-
-    side scoring per (segment, docid range) with driver-side global stats,
-    rank-AND-score-identical to the local SegmentedBM25 (tested) — so the
-    DML'd index keeps the 1e12-doc serving shape without a compaction.
+    Query-time serving goes through ``DistributedSegmentedBM25`` — the bm25
+    executor's one shard task per (segment, docid range) unit with
+    driver-side global stats, rank-AND-score-identical to the local
+    SegmentedBM25 (tested) — so the DML'd index keeps the 1e12-doc serving
+    shape without a compaction.
 
     Rows: (query_id, rank, docid, score) over queries that include the
     updated vocabulary; rows-only (BM25 is not SQL-expressible)."""
-    import pyarrow as pa
     import ray.data as rd
 
     from terrier_ray.datagen.webtext import generate_queries, webtext_for_sf
-    from terrier_ray.index.bm25 import DistributedSegmentedBM25
+    from terrier_ray.index.bm25 import DistributedSegmentedBM25, hits_table
     from terrier_ray.index.segments import (
         ingest_snapshot_delta,
         sync_snapshot_dml,
@@ -379,30 +379,16 @@ def sql_update_index_ingest(sf_dir: str):
     queries = generate_queries(7)
     texts = queries.column("text").to_pylist() + ["zebra quokka"]
     qids = queries.column("query_id").to_pylist() + [9999]
-    out_q, ranks, docids, scores = [], [], [], []
-    for qid, hits in zip(qids, seg.search_many(texts, 10)):
-        for rank, (d, s) in enumerate(hits, start=1):
-            out_q.append(qid)
-            ranks.append(rank)
-            docids.append(d)
-            scores.append(s)
-    return pa.table(
-        {
-            "query_id": pa.array(out_q, type=pa.int32()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "docid": pa.array(docids, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        }
-    )
+    return hits_table(zip(qids, seg.search_many(texts, 10)))
 
 
 def phrase_matches_dml(sf_dir: str):
     """Positional phrase retrieval over a DML-maintained segmented index:
     base positional segment over the sf webtext → SQL UPDATE rewrites a
     slice of docs to a known phrase → ``sync_snapshot_dml`` (positional
-    delta + per-segment tombstone) → ``segmented_phrase_matches`` finds
-    the NEW bodies by position intersection and must not surface the
-    stale ones (identity vs a monolithic positional rebuild is asserted
+    delta + per-segment tombstone) → ``segmented_phrase_matches`` (the
+    bm25 executor's phrase phase over a ``SegmentedBM25``) finds the NEW
+    bodies by position intersection and must not surface the stale ones (identity vs a monolithic positional rebuild is asserted
     in tests/test_state.py).  Rows: (phrase_id, phrase, docid,
     n_occurrences); rows-only (phrase adjacency is not SQL-expressible
     on these tables)."""

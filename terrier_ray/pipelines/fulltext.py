@@ -11,9 +11,10 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pyarrow as pa
 
 from terrier_ray.datagen.webtext import generate_queries, webtext_for_sf
-from terrier_ray.index.bm25 import BM25Scorer
+from terrier_ray.index.bm25 import BM25Scorer, hits_table
 from terrier_ray.index.build import build_index
 
 INDEX_ROOT = "/tmp/terrier_ray_index"
@@ -30,29 +31,6 @@ def ensure_index(sf_dir: str, **kwargs) -> str:
     idx_dir = os.path.join(INDEX_ROOT, name)
     build_index(web, idx_dir, **kwargs)
     return idx_dir
-
-
-def _hits_table(per_query_hits):
-    """(query_id, rank, docid, score) table from (qid, ranked-hit-list)
-    pairs — the ONE assembly shared by every ranked-retrieval entry, so a
-    schema change happens in one place."""
-    import pyarrow as pa
-
-    qids, ranks, docids, scores = [], [], [], []
-    for qid, hits in per_query_hits:
-        for rank, (d, s) in enumerate(hits, start=1):
-            qids.append(qid)
-            ranks.append(rank)
-            docids.append(int(d))
-            scores.append(float(s))
-    return pa.table(
-        {
-            "query_id": pa.array(qids, type=pa.int32()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "docid": pa.array(docids, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        }
-    )
 
 
 def bm25_topk(sf_dir: str, k: int = 10, num_queries: int = 20):
@@ -78,37 +56,29 @@ def bm25_topk_distributed(sf_dir: str, k: int = 10, num_queries: int = 20):
     top-k; the caller merges k-lists (sorter.cpp:424-430 analog).  Decoded
     postings never transit to the caller.  Rank-AND-score-identical to
     bm25_topk."""
-    from terrier_ray.index.bm25 import DistributedBM25
-
-    idx_dir = ensure_index(sf_dir)
-    queries = generate_queries(num_queries)
-    engine = DistributedBM25(idx_dir)
-    res = engine.search_many(queries.column("text").to_pylist(), k=k)
-    return _hits_table(zip(queries.column("query_id").to_pylist(), res))
+    return _sharded_topk(sf_dir, k, num_queries, num_shards=None)
 
 
 def bm25_topk_sharded(sf_dir: str, k: int = 10, num_queries: int = 20):
-    """Shard-side BM25 scoring: docid-range tasks score with their LOCAL
-    doclens and return partial top-k; caller merges k-lists (the 1e12-doc
-    serving shape — hot-term postings never transit to one process).
-    Rank-AND-score-identical to bm25_topk."""
+    """``bm25_topk_distributed`` split into at least four docid ranges."""
+    return _sharded_topk(sf_dir, k, num_queries, num_shards=4)
+
+
+def _sharded_topk(sf_dir: str, k: int, num_queries: int, num_shards):
     from terrier_ray.index.bm25 import DistributedBM25
 
-    idx_dir = ensure_index(sf_dir)
     queries = generate_queries(num_queries)
-    engine = DistributedBM25(idx_dir)
-    res = engine.search_many_sharded(
-        queries.column("text").to_pylist(), k=k, num_shards=4
+    res = DistributedBM25(ensure_index(sf_dir)).search_many(
+        queries.column("text").to_pylist(), k=k, num_shards=num_shards
     )
-    return _hits_table(zip(queries.column("query_id").to_pylist(), res))
+    return hits_table(zip(queries.column("query_id").to_pylist(), res))
+
 
 def boolean_matches(sf_dir: str, num_queries: int = 10):
     """Unranked boolean retrieval over the same inverted index: for each
     generated query "t1 t2 t3 ..." run MUST=t1 ∧ SHOULD=(t2|t3) ∧ NOT=last
     term; returns (query_id, docid) match rows (rows-only: verified exactly
     vs a naive corpus scan in tests/test_index_bm25.py)."""
-    import pyarrow as pa
-
     from terrier_ray.index.bm25 import BM25Index
 
     idx_dir = ensure_index(sf_dir)
@@ -179,7 +149,7 @@ def bm25f_combine(idx_title, idx_body, queries, *, k, w_title, w_body):
         # title chunk first, then body
         uniq, acc = _accumulate([dt, db], [w_title * st, w_body * sb])
         per_query.append((qid, _topk(uniq, acc, k)))
-    return _hits_table(per_query)
+    return hits_table(per_query)
 
 
 def _typo_queries(num_queries: int):
@@ -187,9 +157,6 @@ def _typo_queries(num_queries: int):
     (delete / substitute / transpose by qid mod 3, position from a
     per-query seeded rng, never position 0 so the fuzzy prefix survives).
     Deterministic: same num_queries → same corrupted texts."""
-    import numpy as np
-    import pyarrow as pa
-
     q = generate_queries(num_queries)
     out = []
     for qid, text in zip(
@@ -236,7 +203,7 @@ def fuzzy_topk(
 
     idx = BM25Index(ensure_index(sf_dir))
     queries = _typo_queries(num_queries)
-    return _hits_table(
+    return hits_table(
         (qid, idx.search_fuzzy(text, k=k, max_edits=max_edits,
                                prefix_len=prefix_len))
         for qid, text in zip(
@@ -283,15 +250,10 @@ def index_corpus_stats(sf_dir: str):
     # several buckets, so de-overcount from the (tiny) heavy list exactly.
     # bucket_metrics was recorded PRE-fold: folded heavy terms' overcount is
     # taken from stats['fold_dup_terms'] (exact, recorded by the fold pass
-    # itself), and only the still-salted terms need the file scan.  Legacy
-    # stats.json without the key falls back to scanning all heavy terms —
-    # the pre-round-5 behavior.
-    n_terms = int(bm["n_terms"].sum())
-    if "fold_dup_terms" in stats:
-        n_terms -= int(stats["fold_dup_terms"])
-        heavy = stats.get("salted_terms", [])
-    else:
-        heavy = stats.get("heavy_terms", [])
+    # itself), and only the still-salted terms need the file scan.  A
+    # stats.json without either field is not a servable index and raises.
+    n_terms = int(bm["n_terms"].sum()) - int(stats["fold_dup_terms"])
+    heavy = stats["salted_terms"]
     if heavy:
         occ, seen = 0, set()
         for f in sorted(
@@ -324,8 +286,6 @@ def _fetch_indexed_winners(
     against the tiny hit set is a broadcast semi join — extraction touches
     |need| docs, never the corpus.  Returns a pa.Table with docid, text,
     terms/tfs, plus ``extra_cols`` (e.g. lang for facets)."""
-    import numpy as np
-    import pyarrow as pa
     import ray.data as rd
 
     from terrier_ray.datagen.webtext import url_doc_id
@@ -394,7 +354,6 @@ def _mine_phrases(idx, web: str, num_phrases: int) -> "list[str]":
 
 
 def _phrase_table(rows: "list[tuple[int, str, int, int]]"):
-    import pyarrow as pa
 
     return pa.table(
         {
@@ -410,8 +369,6 @@ def _match_phrases_scan(idx, web: str, phrases: "list[str]"):
     """AND candidates over the index, then verify adjacency by fetching the
     candidates' texts in one pruned distributed pass (the positional-free
     'slow phrase' plan; see phrase_matches)."""
-    import numpy as np
-
     from terrier_ray.text.tokenize import tokenize
 
     cand = {p: idx.search_boolean(must=[p]) for p in phrases}
@@ -438,24 +395,24 @@ def _match_phrases_scan(idx, web: str, phrases: "list[str]"):
     return _phrase_table(rows)
 
 
-def _match_phrases_positional(idx, phrases: "list[str]"):
-    """Position-intersect phrase matching over a POSITIONAL index: AND the
-    terms' postings for candidates, then intersect per-term position lists
-    shifted by phrase offset (``positions_for`` decodes one 128-posting
-    block per (term, candidate)) — ZERO corpus text reads, so a
+def _match_phrases_positional(idx, phrases: "list[str]", slop: int = 0):
+    """Position-intersect phrase matching over a POSITIONAL reader: AND
+    the terms' postings for candidates, then intersect per-term position
+    lists shifted by phrase offset — ZERO corpus text reads, so a
     stopword-heavy phrase costs position-block decodes, never a text
-    refetch of a huge AND set (the r4 verdict's degenerate case).  The
-    kernel is ``querylang._phrase_occurrences`` — the ONE position-
-    intersection implementation (the query language's phrase clauses and
-    this table-shaped entry must agree doc-for-doc)."""
-    from terrier_ray.index.querylang import _phrase_occurrences
+    refetch of a huge AND set.  This is the executor's phase 1
+    (``bm25._shard_phrases``), the ONE position-intersection path: the
+    query language's phrase clauses and this table-shaped entry agree
+    doc-for-doc.  ``slop >= 1`` counts minimal proximity windows instead.
+    Rows sort by (phrase_id, docid)."""
+    from terrier_ray.index.bm25 import _shard_phrases
 
-    rows: list[tuple[int, str, int, int]] = []
-    for pid, phrase in enumerate(phrases):
-        docs, counts = _phrase_occurrences(idx, phrase)
-        for d, c in zip(docs.tolist(), counts.tolist()):
-            rows.append((pid, phrase, d, c))
-    return _phrase_table(rows)
+    clauses = [{"field": None, "text": p, "slop": slop} for p in phrases]
+    hits = _shard_phrases(clauses, {None: idx.units()})
+    rows = [(pid, phrase, d, c)
+            for pid, (phrase, parts) in enumerate(zip(phrases, hits))
+            for docs, counts in parts for d, c in zip(docs.tolist(), counts.tolist())]
+    return _phrase_table(sorted(rows, key=lambda r: (r[0], r[2])))
 
 
 def segmented_phrase_matches(
@@ -464,31 +421,16 @@ def segmented_phrase_matches(
     tombstone_dirs: "list[str] | None" = None,
 ):
     """Position-intersect phrase retrieval over a DML-maintained SEGMENTED
-    index (every segment built with positions=True): run the per-segment
-    positional matcher and union rows, dropping each segment's tombstoned
-    docids — live doc sets are disjoint across segments (SegmentedBM25
-    contract), so the union has one row per (phrase, live doc), identical
-    to a positional rebuild over the post-DML snapshot (tested).  Rows
-    sort by (phrase_id, docid) for determinism."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from terrier_ray.index.bm25 import BM25Index, SegmentedBM25
+    index (every segment built with positions=True): the executor's phase
+    1 over a ``SegmentedBM25``, which drops each segment's tombstoned
+    docids before counting — live doc sets are disjoint across segments,
+    so there is one row per (phrase, live doc), identical to a positional
+    rebuild over the post-DML snapshot (tested).  Rows sort by
+    (phrase_id, docid)."""
+    from terrier_ray.index.bm25 import SegmentedBM25
 
     seg = SegmentedBM25(segment_dirs, tombstone_dirs=tombstone_dirs)
-    parts = []
-    for sdir, sname in zip(segment_dirs, seg._seg_names):
-        tab = _match_phrases_positional(BM25Index(sdir), phrases)
-        dead = seg._del_by_seg.get(sname)
-        if dead is not None and dead.size and tab.num_rows:
-            tab = tab.filter(
-                pc.invert(
-                    pc.is_in(tab.column("docid"), value_set=pa.array(dead))
-                )
-            )
-        parts.append(tab)
-    out = pa.concat_tables(parts)
-    return out.sort_by([("phrase_id", "ascending"), ("docid", "ascending")])
+    return _match_phrases_positional(seg, phrases)
 
 
 def phrase_matches(sf_dir: str, num_phrases: int = 6):
@@ -538,7 +480,7 @@ def proximity_matches(sf_dir: str, num_phrases: int = 6, slop: int = 2):
     the Terrier/Indri ``#uwN`` operator (query-string syntax
     ``\"a b\"~slop``): a match is a MINIMAL token window containing every
     distinct phrase token with span <= n_distinct + slop, counted under
-    minimal-interval semantics (``querylang._minimal_window_count``, the
+    minimal-interval semantics (``bm25._minimal_window_count``, the
     one window kernel).  Same deterministically-mined phrase set as
     ``phrase_matches``; zero corpus text reads (candidates = AND of the
     distinct tokens, then per-candidate position-block decodes).  Rows:
@@ -548,17 +490,10 @@ def proximity_matches(sf_dir: str, num_phrases: int = 6, slop: int = 2):
     docs are a subset of each phrase's proximity docs when its tokens
     are distinct (span = n <= n + slop; tested)."""
     from terrier_ray.index.bm25 import BM25Index
-    from terrier_ray.index.querylang import _phrase_occurrences
 
     web = webtext_for_sf(sf_dir)
     idx = BM25Index(ensure_index(sf_dir, positions=True))
-    phrases = _mine_phrases(idx, web, num_phrases)
-    rows: list[tuple[int, str, int, int]] = []
-    for pid, phrase in enumerate(phrases):
-        docs, counts = _phrase_occurrences(idx, phrase, slop=slop)
-        for d, c in zip(docs.tolist(), counts.tolist()):
-            rows.append((pid, phrase, d, c))
-    return _phrase_table(rows)
+    return _match_phrases_positional(idx, _mine_phrases(idx, web, num_phrases), slop)
 
 
 def bm25_snippets(sf_dir: str, k: int = 5, num_queries: int = 5, window: int = 20):
@@ -569,24 +504,19 @@ def bm25_snippets(sf_dir: str, k: int = 5, num_queries: int = 5, window: int = 2
     pick maximizes distinct query terms inside ``window`` tokens.
     Rows: (query_id, rank, docid, snippet); rows-only (free text), the
     contains-a-query-term invariant is unit-tested."""
-    import numpy as np
-    import pyarrow as pa
-
     from terrier_ray.index.bm25 import BM25Index, _query_terms
     from terrier_ray.text.tokenize import TOKEN_RE
 
-    idx_dir = ensure_index(sf_dir)
-    idx = BM25Index(idx_dir)
+    idx = BM25Index(ensure_index(sf_dir))
     queries = generate_queries(num_queries)
-    hits: list[tuple[int, int, int]] = []  # (query_id, rank, docid)
+    hits: dict[int, list[int]] = {}
     terms_by_q: dict[int, list[str]] = {}
     for qid, text in zip(
         queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
     ):
         terms_by_q[qid] = _query_terms(text)
-        for rank, (docid, _s) in enumerate(idx.search_pruned(text, k=k), start=1):
-            hits.append((qid, rank, docid))
-    need = sorted({d for _q, _r, d in hits})
+        hits[qid] = [d for d, _s in idx.search_pruned(text, k=k)]
+    need = sorted({d for ds in hits.values() for d in ds})
     # most webtext rows carry only `html` — the shared pruned fetch runs the
     # SAME extractor + duplicated-url winner rule the index build used, so
     # the snippet is cut from the text the index actually scored
@@ -609,19 +539,10 @@ def bm25_snippets(sf_dir: str, k: int = 5, num_queries: int = 5, window: int = 2
         s = int(np.argmax(score))
         return " ".join(toks[s : s + window])
 
-    qids, ranks, dids, snips = [], [], [], []
-    for qid, rank, docid in hits:
-        qids.append(qid)
-        ranks.append(rank)
-        dids.append(docid)
-        snips.append(best_window(text_of.get(docid, ""), terms_by_q[qid]))
-    return pa.table(
-        {
-            "query_id": pa.array(qids, type=pa.int32()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "docid": pa.array(dids, type=pa.int64()),
-            "snippet": pa.array(snips, type=pa.string()),
-        }
+    return hits_table(
+        ((qid, [(d, best_window(text_of.get(d, ""), terms_by_q[qid])) for d in ds])
+         for qid, ds in hits.items()),
+        value=("snippet", pa.string()),
     )
 
 
@@ -646,8 +567,6 @@ def more_like_this(sf_dir: str, num_docs: int = 5, k: int = 10, max_terms: int =
     filter; at 1e12 docs the clustered docid layout (sources/io.point_lookup)
     makes it a row-group-pruned point read — same hook as the relational
     point lookup.  Rows-only entry (not SQL-expressible)."""
-    import numpy as np
-    import pyarrow as pa
     import pyarrow.dataset as pads
 
     from terrier_ray.index.bm25 import BM25Index, idf
@@ -669,7 +588,7 @@ def more_like_this(sf_dir: str, num_docs: int = 5, k: int = 10, max_terms: int =
             seed_tab.column("tfs").to_pylist(),
         )
     }
-    s_out, ranks, docids, scores = [], [], [], []
+    per_seed = []
     for seed in (int(s) for s in seeds):
         terms, tfs = by_seed[seed]
         dfs = idx.df_of(terms)
@@ -683,19 +602,8 @@ def more_like_this(sf_dir: str, num_docs: int = 5, k: int = 10, max_terms: int =
         if not sel:
             continue
         hits = [(d, s) for d, s in idx.search(" ".join(sel), k=k + 1) if d != seed]
-        for rank, (d, s) in enumerate(hits[:k], start=1):
-            s_out.append(seed)
-            ranks.append(rank)
-            docids.append(d)
-            scores.append(s)
-    return pa.table(
-        {
-            "seed_docid": pa.array(s_out, type=pa.int64()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "docid": pa.array(docids, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        }
-    )
+        per_seed.append((seed, hits[:k]))
+    return hits_table(per_seed, key=("seed_docid", pa.int64()))
 
 
 def bm25_facets(sf_dir: str, k: int = 50, num_queries: int = 10):
@@ -709,8 +617,6 @@ def bm25_facets(sf_dir: str, k: int = 50, num_queries: int = 10):
     ranking uses the MaxScore-pruned exact path (rank-identical to
     ``search``).  Rows-only entry: verified vs a scalar oracle mirror in
     tests/test_multifield.py."""
-    import pyarrow as pa
-
     from terrier_ray.index.bm25 import BM25Index
 
     idx = BM25Index(ensure_index(sf_dir))
@@ -782,8 +688,6 @@ def feedback_topk(
     All three steps are pinned and mirrored by the scalar oracle test
     (tests/test_multifield.py).  The fb-doc term-vector fetch is the same
     is_in pruned read as more_like_this.  Rows-only entry."""
-    import numpy as np
-    import pyarrow as pa
     import pyarrow.dataset as pads
 
     from terrier_ray.index.bm25 import BM25Index, _query_terms, idf
@@ -792,7 +696,7 @@ def feedback_topk(
     idx = BM25Index(idx_dir)
     corpus = pads.dataset(os.path.join(idx_dir, "corpus"))
     queries = generate_queries(num_queries)
-    qids, ranks, docids, scores = [], [], [], []
+    per_query = []
     for qid, text in zip(
         queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
     ):
@@ -825,19 +729,8 @@ def feedback_topk(
             if weighted:
                 w_max = weighted[0][0]
                 clauses += [(t, beta * w / w_max) for w, t in weighted]
-        for rank, (d, s) in enumerate(idx.search_weighted(clauses, k=k), start=1):
-            qids.append(qid)
-            ranks.append(rank)
-            docids.append(d)
-            scores.append(s)
-    return pa.table(
-        {
-            "query_id": pa.array(qids, type=pa.int32()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "docid": pa.array(docids, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        }
-    )
+        per_query.append((qid, idx.search_weighted(clauses, k=k)))
+    return hits_table(per_query)
 
 
 def suggest_terms(sf_dir: str, prefix: str = "wi", limit: int = 10):
@@ -846,8 +739,6 @@ def suggest_terms(sf_dir: str, prefix: str = "wi", limit: int = 10):
     term asc) — the search-box suggest shape.  One pruned (term, df, cf)
     prefix scan of the posting buckets (terms_in_range), no posting blobs.
     Rows-only entry; exact vs the oracle df map in tests."""
-    import pyarrow as pa
-
     from terrier_ray.index.bm25 import BM25Index
 
     idx = BM25Index(ensure_index(sf_dir))
@@ -872,8 +763,6 @@ def did_you_mean(sf_dir: str, num_queries: int = 12, max_edits: int = 1):
     kept verbatim.  Returns (query_id, original, corrected) over the same
     deterministically typo'd query set as fuzzy_topk.  Rows-only entry;
     bit-identical to the oracle mirror in tests/test_multifield.py."""
-    import pyarrow as pa
-
     from terrier_ray.index.bm25 import BM25Index
 
     idx = BM25Index(ensure_index(sf_dir))
@@ -920,8 +809,6 @@ def search_query_string(sf_dir: str, k: int = 10, distributed: bool = False):
     two-round phrase df, per-range scoring + filters, k-list merge) —
     rank-AND-score-identical rows, so the two entries' tables match
     byte-for-byte (tested)."""
-    import pyarrow as pa
-
     from terrier_ray.index.bm25 import BM25Index
     from terrier_ray.index.querylang import QueryStringEngine
 
@@ -959,22 +846,8 @@ def search_query_string(sf_dir: str, k: int = 10, distributed: bool = False):
         if distributed
         else (lambda qstr: engine.search(qstr, k=k))
     )
-    qids, qs, ranks, docids, scores = [], [], [], [], []
-    for qid, qstr in enumerate(suite):
-        for rank, (d, s) in enumerate(run(qstr), start=1):
-            qids.append(qid)
-            qs.append(qstr)
-            ranks.append(rank)
-            docids.append(d)
-            scores.append(s)
-    return pa.table(
-        {
-            "query_id": pa.array(qids, type=pa.int32()),
-            "query": pa.array(qs, type=pa.string()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "docid": pa.array(docids, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        }
+    return hits_table(
+        (((qid, qstr), run(qstr)) for qid, qstr in enumerate(suite)), ("query",)
     )
 
 
@@ -990,8 +863,6 @@ def bm25_filtered_topk(sf_dir: str, k: int = 10, num_queries: int = 10):
     — identity tested).  Rows: (query_id, query, lang, rank, docid,
     score); rows-only (BM25 scores), identity-vs-post-filter pinned in
     tests/test_index_bm25.py."""
-    import pyarrow as pa
-
     from terrier_ray.index.bm25 import BM25Index
 
     idx = BM25Index(ensure_index(sf_dir, docvalues=True))
@@ -1004,29 +875,16 @@ def bm25_filtered_topk(sf_dir: str, k: int = 10, num_queries: int = 10):
         for i in sorted(range(len(names)), key=lambda i: (-int(counts[i]), names[i]))[:2]
     ]
     queries = generate_queries(num_queries)
-    qids, qs, langs, ranks, docids, scores = [], [], [], [], [], []
-    for qid, text in zip(
-        queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
-    ):
-        for lang in top_langs:
-            for rank, (d, s) in enumerate(
-                idx.search_filtered(text, k=k, lang=lang), start=1
-            ):
-                qids.append(qid)
-                qs.append(text)
-                langs.append(lang)
-                ranks.append(rank)
-                docids.append(d)
-                scores.append(s)
-    return pa.table(
-        {
-            "query_id": pa.array(qids, type=pa.int32()),
-            "query": pa.array(qs, type=pa.string()),
-            "lang": pa.array(langs, type=pa.string()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "docid": pa.array(docids, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        }
+    return hits_table(
+        (
+            ((qid, text, lang), idx.search_filtered(text, k=k, lang=lang))
+            for qid, text in zip(
+                queries.column("query_id").to_pylist(),
+                queries.column("text").to_pylist(),
+            )
+            for lang in top_langs
+        ),
+        ("query", "lang"),
     )
 
 
@@ -1040,8 +898,6 @@ def bm25_time_filtered_topk(sf_dir: str, k: int = 10, num_queries: int = 10):
     (``search_filtered(ts_range=)``, tested), and the distributed
     variant pushes the range mask into the scoring shards.  Rows:
     (query_id, query, rank, docid, score); rows-only (BM25 scores)."""
-    import pyarrow as pa
-
     from terrier_ray.index.bm25 import BM25Index
 
     idx = BM25Index(ensure_index(sf_dir, docvalues=True))
@@ -1049,26 +905,15 @@ def bm25_time_filtered_topk(sf_dir: str, k: int = 10, num_queries: int = 10):
     median = int(np.sort(all_ts)[len(all_ts) // 2])
     hi = int(all_ts.max()) + 1
     queries = generate_queries(num_queries)
-    qids, qs, ranks, docids, scores = [], [], [], [], []
-    for qid, text in zip(
-        queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
-    ):
-        for rank, (d, s) in enumerate(
-            idx.search_filtered(text, k=k, ts_range=(median, hi)), start=1
-        ):
-            qids.append(qid)
-            qs.append(text)
-            ranks.append(rank)
-            docids.append(d)
-            scores.append(s)
-    return pa.table(
-        {
-            "query_id": pa.array(qids, type=pa.int32()),
-            "query": pa.array(qs, type=pa.string()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "docid": pa.array(docids, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        }
+    return hits_table(
+        (
+            ((qid, text), idx.search_filtered(text, k=k, ts_range=(median, hi)))
+            for qid, text in zip(
+                queries.column("query_id").to_pylist(),
+                queries.column("text").to_pylist(),
+            )
+        ),
+        ("query",),
     )
 
 
@@ -1079,32 +924,20 @@ def bm25_sorted_by_time(sf_dir: str, k: int = 10, num_queries: int = 10):
     (ts desc, docid asc) instead of BM25 score.  Rows: (query_id, query,
     rank, docid, ts); rows-only, identity-vs-python-sort pinned in
     tests/test_index_bm25.py."""
-    import pyarrow as pa
-
     from terrier_ray.index.bm25 import BM25Index
 
     idx = BM25Index(ensure_index(sf_dir, docvalues=True))
     queries = generate_queries(num_queries)
-    qids, qs, ranks, docids, tss = [], [], [], [], []
-    for qid, text in zip(
-        queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
-    ):
-        for rank, (d, t) in enumerate(
-            idx.search_sorted_by_ts(text, k=k), start=1
-        ):
-            qids.append(qid)
-            qs.append(text)
-            ranks.append(rank)
-            docids.append(d)
-            tss.append(t)
-    return pa.table(
-        {
-            "query_id": pa.array(qids, type=pa.int32()),
-            "query": pa.array(qs, type=pa.string()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "docid": pa.array(docids, type=pa.int64()),
-            "ts": pa.array(tss, type=pa.int64()),
-        }
+    return hits_table(
+        (
+            ((qid, text), idx.search_sorted_by_ts(text, k=k))
+            for qid, text in zip(
+                queries.column("query_id").to_pylist(),
+                queries.column("text").to_pylist(),
+            )
+        ),
+        ("query",),
+        value=("ts", pa.int64()),
     )
 
 
@@ -1115,8 +948,6 @@ def bm25_date_histogram(sf_dir: str, num_queries: int = 6, num_buckets: int = 8)
     ts span split into ``num_buckets``).  Rows: (query_id, query,
     bucket_start, n_docs); rows-only, counts pinned vs a numpy oracle in
     tests/test_index_bm25.py."""
-    import pyarrow as pa
-
     from terrier_ray.index.bm25 import BM25Index
 
     idx = BM25Index(ensure_index(sf_dir, docvalues=True))
@@ -1151,8 +982,6 @@ def search_explain(sf_dir: str):
     per plan line.  STATS-ONLY (dictionary column probes, no postings or
     position decodes — asserted cheap in tests).  Rows-only (plan text
     is engine-specific, like ``sql_explain_q3``)."""
-    import pyarrow as pa
-
     from terrier_ray.index.bm25 import BM25Index
     from terrier_ray.index.querylang import QueryStringEngine
 
@@ -1206,41 +1035,23 @@ def bm25f_true_topk(
     Accumulation runs in query-term order — bit-identical to the scalar
     two-oracle mirror (tests/test_multifield.py).  Rank: score desc,
     docid asc.  Rows-only entry."""
-    import pyarrow as pa
-
     from terrier_ray.index.bm25 import BM25Index
 
     idx_title = BM25Index(ensure_index(sf_dir, field="title"))
     idx_body = BM25Index(ensure_index(sf_dir))
     queries = generate_queries(num_queries)
-    qids, ranks, docids, scores = [], [], [], []
-    for qid, text in zip(
-        queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
-    ):
-        for rank, (d, s) in enumerate(
-            bm25f_true_search(idx_title, idx_body, text, k=k,
-                              w_title=w_title, w_body=w_body),
-            start=1,
-        ):
-            qids.append(qid)
-            ranks.append(rank)
-            docids.append(d)
-            scores.append(s)
-    return pa.table(
-        {
-            "query_id": pa.array(qids, type=pa.int32()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "docid": pa.array(docids, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        }
+    return hits_table(
+        (qid, bm25f_true_search(idx_title, idx_body, text, k=k,
+                                w_title=w_title, w_body=w_body))
+        for qid, text in zip(
+            queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
+        )
     )
 
 
 def bm25f_true_search(idx_title, idx_body, query, *, k, w_title, w_body):
     """One true-BM25F query over two open per-field index handles (see
     ``bm25f_true_topk`` for the pinned formula)."""
-    import numpy as np
-
     from terrier_ray.index.bm25 import _accumulate, _query_terms, _topk, _wd, idf
 
     assert idx_title.n_docs == idx_body.n_docs, "per-field indexes must align"

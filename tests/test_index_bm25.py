@@ -193,25 +193,33 @@ def test_resume_skips_epochs(built_index, webtext_small):
 
 
 @pytest.mark.parametrize(
-    "victim_glob, epoch",
+    "victim_glob, epochs",
     [
-        ("postings/bucket-*.parquet", "postings"),
-        ("doclens/part-*.bin", "doclens"),
-        ("docvalues/part-*.bin", "docvalues"),
+        ("postings/bucket-*.parquet", ["postings"]),
+        ("doclens/part-*.bin", ["doclens"]),
+        ("docvalues/part-*.bin", ["docvalues"]),
+        # postings are built from the stats epoch's heavy terms and salts
+        ("stats.json", ["stats", "postings"]),
     ],
-    ids=["bucket", "doclens_part", "docvalues_part"],
+    ids=["bucket", "doclens_part", "docvalues_part", "stats_json"],
 )
-def test_resume_rebuilds_missing_bucket(built_index, webtext_small, victim_glob, epoch):
+def test_resume_rebuilds_missing_bucket(
+    built_index, webtext_small, oracle, victim_glob, epochs
+):
     """A committed epoch whose output file went missing re-runs on the
-    next build — that epoch only; every other epoch's manifest still
-    verifies and is skipped."""
+    next build, with the epochs built from it; every other epoch's
+    manifest still verifies and is skipped.  The rebuilt index opens and
+    serves the oracle's rankings."""
     out, _ = built_index
     victim = sorted(glob.glob(os.path.join(out, victim_glob)))[0]
     os.remove(victim)
     stats3 = build_index(webtext_small, out, num_buckets=4, num_salts=3,
                          docvalues=True, heavy_min_df=20)
-    assert list(stats3["timings"]) == [f"{epoch}_s"]  # only that epoch re-ran
+    assert list(stats3["timings"]) == [f"{e}_s" for e in epochs]
     assert os.path.exists(victim)
+    idx = BM25Index(out)
+    for text in generate_queries(5).column("text").to_pylist():
+        assert idx.search(text, k=10) == oracle.search(text, k=10), text
 
 
 def test_distributed_matches_local(ray_session, built_index, oracle):
@@ -306,6 +314,35 @@ def test_read_path_reaches_traced_layers(built_index, monkeypatch):
     looked_up = {id(obj) for n, obj in calls if n == "lookup"}
     assert [n for n, _ in calls][0] == "search"
     assert {id(s) for s in seg.segments} <= looked_up
+
+
+def test_traced_wrap_targets_exist():
+    """The traced benchmark run wraps named attributes across the build,
+    segments, SQL and snapshot layers (perfbench/workloads.py
+    ``install_wrappers``).  A rename or deletion of any of them fails
+    here instead of reading 0 in the traced run."""
+    import sys
+
+    pb = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+    sys.path.insert(0, pb)
+    try:
+        import workloads
+        from spans import Tracer
+
+        tracer = Tracer()
+        try:
+            workloads.install_wrappers(tracer)
+            wrapped = {(getattr(o, "__name__", ""), a) for o, a, _ in tracer._patched}
+        finally:
+            tracer.restore()
+    finally:
+        sys.path.remove(pb)
+    for target in [("BM25Index", "search"), ("SegmentedBM25", "search"),
+                   ("terrier_ray.index.build", "build_index"),
+                   ("terrier_ray.index.segments", "sync_snapshot_dml"),
+                   ("terrier_ray.sql", "plan"),
+                   ("terrier_ray.state.snapshots", "update_rows")]:
+        assert target in wrapped, target
 
 
 def test_stats_without_salted_terms_raises(built_index, tmp_root):

@@ -553,3 +553,128 @@ def test_segmented_phrase_matches_after_update(ray_session, tmp_root):
     assert got.filter(
         pc.equal(got.column("phrase_id"), 0)
     ).num_rows > 0  # the updated-vocabulary phrase has hits
+
+
+@pytest.fixture(scope="module")
+def dml_segments(ray_session, tmp_root):
+    """Positional segments after an UPDATE and a DELETE, and a monolithic
+    positional rebuild of the final snapshot: (segment dirs, tombstone
+    dirs, the rebuild, mid-frequency terms, phrases)."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from terrier_ray.datagen import generate_webtext_parquet
+    from terrier_ray.index.bm25 import BM25Index, _phrase_occurrences
+    from terrier_ray.index.build import build_index
+    from terrier_ray.index.segments import (
+        ingest_snapshot_delta,
+        sync_snapshot_dml,
+    )
+    from terrier_ray.sql import sql_dml
+    from terrier_ray.state import snapshots
+    from terrier_ray.text.tokenize import tokenize
+
+    work = os.path.join(str(tmp_root), "seg_surfaces")
+    web = generate_webtext_parquet(os.path.join(work, "web"), num_docs=400, seed=7)
+    sqlsf = os.path.join(work, "sqlsf")
+    os.makedirs(sqlsf, exist_ok=True)
+    os.symlink(os.path.abspath(web), os.path.join(sqlsf, "web.parquet"))
+    store = os.path.join(work, "store")
+    segroot = os.path.join(work, "segments")
+    stores = {"webstore": store}
+    kw = dict(num_buckets=4, num_salts=2, heavy_min_df=200, positions=True)
+
+    snapshots.create_snapshot(store, rd.read_parquet(web))
+    base = ingest_snapshot_delta(segroot, store, 0, **kw)
+    assert sql_dml(
+        "UPDATE webstore SET text = 'zebra quokka xylophone herd sighting' "
+        "WHERE url LIKE '%/p7'",
+        sqlsf, stores,
+    ) == 2
+    delta, tomb = sync_snapshot_dml(segroot, store, 1, 2, **kw)
+    assert sql_dml("DELETE FROM webstore WHERE url LIKE '%/p3'", sqlsf, stores) == 3
+    d2, tomb2 = sync_snapshot_dml(segroot, store, 2, 3, **kw)
+    assert delta is not None and d2 is None and tomb and tomb2
+
+    mono_c = os.path.join(work, "mono_c")
+    os.symlink(snapshots.snapshot_dir(store, 3), mono_c)
+    build_index(mono_c, os.path.join(work, "mono"), **kw)
+    mono = BM25Index(os.path.join(work, "mono"))
+    tab = mono.terms_in_range(lo="m", hi="o")
+    df = tab.column("df").to_numpy(zero_copy_only=False)
+    terms = [t for t, d in zip(tab.column("term").to_pylist(), df) if 5 <= d <= 200][:3]
+    # a corpus trigram the final snapshot still holds
+    texts = pq.read_table(web, columns=["text"]).column("text").to_pylist()
+    trigrams = [" ".join(tokenize(t)[5:8]) for t in texts if t][:50]
+    phrases = [p for p in trigrams
+               if len(_phrase_occurrences(mono, p)[0])][:1] + ["zebra quokka xylophone"]
+    assert len(terms) == 3 and len(phrases) == 2
+    return [base, delta], [tomb, tomb2], mono, terms, phrases
+
+
+def test_segmented_query_string_identical(dml_segments):
+    """The query-string engine over ``SegmentedBM25([base, delta],
+    tombstones)`` equals it over a monolithic rebuild of the final
+    snapshot, locally and shard-side, in docids and float64 scores."""
+    from terrier_ray.index.bm25 import SegmentedBM25
+    from terrier_ray.index.querylang import QueryStringEngine
+
+    segs, tombs, mono, (a, b, _), (phrase, updated) = dml_segments
+    seg_qs = QueryStringEngine(SegmentedBM25(segs, tombs))
+    mono_qs = QueryStringEngine(mono)
+    suite = [f"{a} {b}", f"+{a} {b}", f"{a} -{b}", f"{a}^2 {b}",
+             f'"{phrase}"', f'"{phrase}"~2', f'+"{updated}" {a}',
+             f'{a} -"{phrase}"', "zebra quokka"]
+    nonempty = 0
+    for q in suite:
+        want = mono_qs.search(q, k=25)
+        assert seg_qs.search(q, k=25) == want, q
+        assert seg_qs.search_distributed(q, k=25, num_shards=3) == want, q
+        nonempty += bool(want)
+    assert nonempty >= len(suite) - 1
+
+
+def test_segmented_reader_surfaces_identical(dml_segments):
+    """search_weighted, search_boolean (pure-NOT too) and search_after
+    pages of the segmented reader equal the monolithic rebuild's."""
+    from terrier_ray.index.bm25 import SegmentedBM25
+
+    segs, tombs, mono, (a, b, c), _ = dml_segments
+    seg = SegmentedBM25(segs, tombs)
+    clauses = [(a, 2.0), (b, 1.0), ("zebra", 0.5)]
+    assert seg.search_weighted(clauses, k=25) == mono.search_weighted(clauses, k=25)
+    for case in (dict(must=[a, b]), dict(must=[a], must_not=[b]),
+                 dict(should=[b, c, "quokka"]),
+                 dict(must=[a], should=[b, c], must_not=["zebra"]),
+                 dict(must_not=[a])):
+        got, want = seg.search_boolean(**case), mono.search_boolean(**case)
+        assert got.dtype == want.dtype and (got == want).all(), case
+    q = f"{a} {b} zebra"
+    pages, cursor = [], None
+    while page := seg.search_after(q, k=7, after=cursor):
+        pages.extend(page)
+        cursor = page[-1]
+    assert pages == mono.search(q, k=10**9) and pages
+
+
+def test_segmented_reader_rejects_merged_dictionary_and_docvalues(dml_segments):
+    """Prefix and fuzzy expansion need a term dictionary merged across
+    segments, and DML snapshot segments carry no docvalue sidecar: all
+    raise ValueError on a segmented reader."""
+    from terrier_ray.index.bm25 import SegmentedBM25
+    from terrier_ray.index.querylang import QueryStringEngine
+
+    segs, tombs, _, (a, _, _), _ = dml_segments
+    seg = SegmentedBM25(segs, tombs)
+    qs = QueryStringEngine(seg)
+    for q in (f"{a[:2]}*", f"{a}x~1"):
+        with pytest.raises(ValueError, match="merged across segments"):
+            qs.search(q)
+    with pytest.raises(ValueError, match="docvalues"):
+        qs.search(a, filter_lang="en")
+    with pytest.raises(ValueError, match="docvalues"):
+        seg.search_filtered(a, lang="en")
+    with pytest.raises(ValueError, match="docvalues"):
+        seg.search_sorted_by_ts(a)
+    with pytest.raises(ValueError, match="docvalues"):
+        seg.date_histogram(a, 3600)
