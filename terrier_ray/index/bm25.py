@@ -1,5 +1,5 @@
 """BM25 retrieval over the built index: one executor for every search
-surface, plus the MaxScore-pruned TAAT path.
+surface, MaxScore-pruned on stopword-heavy top-k queries.
 
 Scoring formula (pinned; the pure-Python oracle re-implements it
 independently in terrier_ray/index/oracle.py):
@@ -32,6 +32,11 @@ monolithic index is one segment with no tombstones, so ``BM25Index`` and
 all the reader's units), and every distributed surface ships (plans, a
 one-unit shard) to one Ray task (``_unit_task``) and merges the k-lists
 (``_fan_out``).
+
+Given a query's k, the executor picks exact TAAT or MaxScore
+(``_maxscore``) per OR plan and shard from the posting dfs it fetched
+(``_prunes``, ``PRUNE_MIN_DF``).  Both return the exact top k with
+oracle-identical scores, so the rule moves only latency.
 
 Reference analogs: IndexScan / IndexNLJoin (posting lookup,
 /root/reference/src/execution/compiler/operator/index_scan_translator.cpp),
@@ -374,9 +379,105 @@ def _pair_docs(units, posts, pairs, stats: tuple, chunks_d, chunks_c):
     return docs
 
 
-def _score_shard(plans, shard: dict, posts: dict, stats: dict, hits, phrase_df):
+#: MaxScore's margin against float accumulation-order noise
+_EPS = 1e-9
+
+#: the path rule: a top-k OR plan with no negative weight runs MaxScore
+#: when its terms' posting-row dfs over the shard sum to at least this.
+#: Measured on a 60k-doc index (one cpu, k=10, exact / pruned p50): warm
+#: reads cross over near a summed df of 5k (0.72 / 0.58 ms), first-touch
+#: reads near 16k; at 30k pruned runs 4.4x faster warm and 2x first-touch,
+#: and still 1.5x at k=1000.  The cut is twice the first-touch crossover:
+#: light queries (summed df p50 950, max 19,205) stay exact and the
+#: stopword band (156,866 up) prunes.
+PRUNE_MIN_DF = 32_000
+
+
+def _prunes(plan: tuple, posts: list, k) -> bool:
+    return bool(k) and all(w >= 0 for _, w in plan) and sum(
+        p[0] for post in posts for t, _ in plan if (p := post.get(t)) is not None
+    ) >= PRUNE_MIN_DF
+
+
+def _kth(acc: np.ndarray, k: int) -> float:
+    """The k-th largest of ``acc``; -inf while it holds fewer than k."""
+    return float(np.partition(acc, len(acc) - k)[len(acc) - k]) if len(acc) >= k else -np.inf
+
+
+def _probe(p: tuple, docs: np.ndarray, dl: np.ndarray, avgdl: float):
+    """(hit mask, ``wd`` at the hits) of posting ``p`` at ``docs`` (sorted
+    int64, doc lengths ``dl``): the live docids of the unit ``p`` belongs
+    to — never another unit's, whose body may differ after an UPDATE."""
+    q = docs.astype(np.uint64)
+    pos = np.clip(np.searchsorted(p[1], q), 0, len(p[1]) - 1)
+    hit = p[1][pos] == q
+    return hit, _wd(p[2][pos[hit]], dl[hit], avgdl)
+
+
+def _maxscore(units, posts, pairs, stats: tuple, k: int):
+    """MaxScore (Turtle & Flood 1995) over one shard's units: a superset
+    of the OR plan ``pairs``' top ``k``, (docids ascending int64, exact
+    scores float64).
+
+    Per unit, a pair's bound is ``w * idf * _wd(max tf, min dl, avgdl)``
+    over its posting row, valid under any docid range and dead set.  Pairs
+    run in descending bound order; once the bounds left cannot reach the
+    running k-th score (less ``_EPS``), they are only probed at the
+    unit's candidates.  Candidates within ``_EPS`` of the k-th score
+    (ties included) are rescored in pair order with ``(w * idf) * wd``,
+    bit-identical to ``_pair_docs``.  The k-th exact score carries from
+    unit to unit, and a unit whose summed bounds cannot reach it is
+    skipped (SAP, ICDE 2018)."""
+    n_docs, avgdl, df = stats
+    fin_d, fin_s, theta = [_NO_DOCS], [np.empty(0)], -np.inf
+    for u, post in zip(units, posts):
+        live = []  # (bound, pair index, w * idf, posting) of u's pairs
+        for i, (t, w) in enumerate(pairs):
+            p = post.get(t)
+            dft = 0 if p is None else p[0] if df is None else df.get(t, 0)
+            if dft > 0:
+                wi = w * idf(n_docs, dft)
+                live.append((wi * _wd(*u.idx._tf_dl_bound(t, p), avgdl), i, wi, p))
+        if not live or sum(b for b, *_ in live) < theta - _EPS:
+            continue
+        live.sort(key=lambda x: -x[0])
+        tail = np.cumsum([b for b, *_ in live][::-1])[::-1]
+        cand, acc, rest = _NO_DOCS, np.empty(0), []
+        for j, (_b, i, wi, p) in enumerate(live):
+            if tail[j] < max(theta, _kth(acc, k)) - _EPS:
+                rest = live[j:]  # probe-only from here on
+                break
+            d, c = [], []
+            _pair_docs([u], [post], (pairs[i],), stats, d, c)
+            pos = np.searchsorted(cand, d[0])
+            old = pos < len(cand)
+            old[old] = cand[pos[old]] == d[0][old]
+            acc[pos[old]] += c[0][old]
+            cand = np.insert(cand, pos[~old], d[0][~old])
+            acc = np.insert(acc, pos[~old], c[0][~old])
+        dl = u.idx.doc_len(cand) if rest else None
+        for _b, _i, wi, p in rest:
+            hit, wd = _probe(p, cand, dl, avgdl)
+            acc[hit] += wi * wd
+        keep = acc >= max(theta, _kth(acc, k)) - _EPS
+        fin = cand[keep]
+        dl = dl[keep] if rest else u.idx.doc_len(fin)
+        s = np.zeros(len(fin))
+        for _b, _i, wi, p in sorted(live, key=lambda x: x[1]):
+            hit, wd = _probe(p, fin, dl, avgdl)
+            s[hit] += wi * wd
+        fin_d.append(fin)
+        fin_s.append(s)
+        theta = max(theta, _kth(np.concatenate(fin_s), k))
+    d = np.concatenate(fin_d)
+    order = np.argsort(d)
+    return d[order], np.concatenate(fin_s)[order]
+
+
+def _score_shard(plans, shard: dict, posts: dict, stats: dict, hits, phrase_df, k=None):
     """Phase 2 on one shard: each plan's (docids, scores float64) after
-    its MUST, NOT and docvalue masks.
+    its MUST, NOT and docvalue masks; with ``k``, an OR plan the path rule
+    (``_prunes``) picks returns ``_maxscore``'s superset of its top k.
 
     Contributions accumulate in clause order, then pair order within a
     clause (``_accumulate``); each live doc lives in exactly one unit, so
@@ -389,6 +490,9 @@ def _score_shard(plans, shard: dict, posts: dict, stats: dict, hits, phrase_df):
     out, pi = [], 0  # pi: the next phrase clause's index into hits
     for plan in plans:
         if isinstance(plan, tuple):  # a bare or weighted OR query: no masks
+            if _prunes(plan, posts[None], k):
+                out.append(_maxscore(shard[None], posts[None], plan, stats[None], k))
+                continue
             chunks_d, chunks_c = [], []
             _pair_docs(shard[None], posts[None], plan, stats[None], chunks_d, chunks_c)
             out.append(_accumulate(chunks_d, chunks_c))
@@ -453,9 +557,10 @@ def _fetch(terms: dict, shard: dict) -> dict:
     return {f: [u.idx.lookup(ts) for u in shard[f]] for f, ts in terms.items()}
 
 
-def execute(plans: list, shards: "list[dict]", stats: dict) -> list:
+def execute(plans: list, shards: "list[dict]", stats: dict, k=None) -> list:
     """The executor, in-process: run ``plans`` over ``shards`` and return,
-    per shard, each plan's (docids, scores) after its masks.
+    per shard, each plan's (docids, scores) after its masks — with ``k``,
+    a superset of the exact top k for an OR plan the path rule prunes.
 
     A shard maps each field to the ``Unit``s one accumulation covers (a
     single reader's plans use field None): a local reader runs ONE shard
@@ -475,7 +580,7 @@ def execute(plans: list, shards: "list[dict]", stats: dict) -> list:
     phrases = _phrase_clauses(plans)
     hits = [_shard_phrases(phrases, s) if phrases else [] for s in shards]
     pdf = _phrase_df(hits) if phrases else []
-    return [_score_shard(plans, s, post, stats, h, pdf)
+    return [_score_shard(plans, s, post, stats, h, pdf, k)
             for s, post, h in zip(shards, posts, hits)]
 
 
@@ -489,7 +594,7 @@ def _unit_task(spec: dict, plans: list, k: int, stats=None, hits=None, phrase_df
     if stats is None:
         return _shard_phrases(_phrase_clauses(plans), shard)
     parts = _score_shard(plans, shard, _fetch(_plan_terms(plans), shard), stats, hits,
-                         phrase_df)
+                         phrase_df, k)
     return [_topk(d, s, k) for d, s in parts]
 
 
@@ -539,10 +644,10 @@ class _Reader:
     reader's ``units()`` with its ``_stats()`` — n_docs, avgdl and the df
     source (``df_of``)."""
 
-    def _run(self, plan) -> "tuple[np.ndarray, np.ndarray | None]":
+    def _run(self, plan, k=None) -> "tuple[np.ndarray, np.ndarray | None]":
         """One plan over this reader's units, as one shard: (docids
-        ascending int64, scores)."""
-        return execute([plan], [{None: self.units()}], {None: self._stats()})[0][0]
+        ascending int64, scores), for at least the top ``k`` when given."""
+        return execute([plan], [{None: self.units()}], {None: self._stats()}, k)[0][0]
 
     def _filtered(self, query: str, lang=None, ts_range=None):
         """The plan of ``query``'s unique terms, boost 1.0 each (``1.0 *
@@ -557,18 +662,18 @@ class _Reader:
                              "pairs": pairs, "must_all": False}],
                 "lang": lang, "ts_range": ts_range}
 
-    def score_all(self, query: str) -> "tuple[np.ndarray, np.ndarray]":
-        """Full exact accumulation over every matching doc (no top-k cut):
-        (docids ascending int64, scores float64).  This is the per-field
-        feed for BM25F combination; ``search`` is exactly this + the
-        (score desc, docid asc) lexsort cut."""
-        return self._run(self._filtered(query))
+    def score_all(self, query: str, k: "int | None" = None) -> "tuple[np.ndarray, np.ndarray]":
+        """(docids ascending int64, exact scores float64): with ``k``
+        None every matching doc (the per-field feed for BM25F combination),
+        with ``k`` a superset of the exact top k (MaxScore when the path
+        rule picks it).  ``search`` is this + the (score desc, docid asc)
+        lexsort cut."""
+        return self._run(self._filtered(query), k)
 
     def search(self, query: str, k: int = 10) -> list[tuple[int, float]]:
         """Exact top-k: ``score_all`` + the (score desc, docid asc) cut;
-        candidate sets are bounded by query-term df (``search_pruned`` is
-        the stopword-heavy path)."""
-        return _topk(*self.score_all(query), k)
+        stopword-heavy queries take the MaxScore path."""
+        return _topk(*self.score_all(query, k), k)
 
     def search_weighted(
         self, clauses: "list[tuple[str, float]]", k: int = 10
@@ -579,7 +684,7 @@ class _Reader:
         unique query term).  This is the boosted-query primitive behind
         relevance feedback (pipelines/fulltext.feedback_topk) and the
         Lucene BoostQuery analog."""
-        return _topk(*self._run(tuple(clauses)), k)
+        return _topk(*self._run(tuple(clauses), k), k)
 
     def search_filtered(
         self,
@@ -826,6 +931,7 @@ class BM25Index(_Reader):
         self._cache: "OrderedDict[str, tuple | None]" = OrderedDict()
         self._wd_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._pf_cache: "OrderedDict[int, tuple | None]" = OrderedDict()
+        self._bound_cache: "dict[str, tuple]" = {}
         # fuzzy serving caches: per-first-char dictionary slices (≤36) and
         # per-(term, params) expansion lists (fuzzy_expand docstring)
         self._dict_slice_cache: "OrderedDict[str, tuple]" = OrderedDict()
@@ -927,6 +1033,18 @@ class BM25Index(_Reader):
         while len(self._wd_cache) > self.WD_CACHE_CAP:
             self._wd_cache.popitem(last=False)
         return w
+
+    def _tf_dl_bound(self, t: str, p: tuple) -> tuple:
+        """(max tf, min dl) over term ``t``'s postings ``p``, cached.  ``_wd``
+        rises with tf and falls with dl, so ``_wd(*this, avgdl)`` bounds the
+        term's weight at any avgdl under any docid range or dead set (the
+        build's float32 ``block_max_wd`` holds only at this avgdl)."""
+        b = self._bound_cache.get(t)
+        if b is None:
+            b = self._bound_cache[t] = (p[2].max(), self.doc_len(p[1]).min())
+            if len(self._bound_cache) > self.CACHE_CAP:
+                del self._bound_cache[next(iter(self._bound_cache))]
+        return b
 
     def doc_len(self, docids: np.ndarray) -> np.ndarray:
         """float64 doc lengths of ``docids`` from the doclens sidecar."""
@@ -1271,137 +1389,6 @@ class BM25Index(_Reader):
                 for v, ed, _df in self.fuzzy_expand(
                     term, max_edits=max_edits, prefix_len=prefix_len,
                     max_expansions=max_expansions)]
-
-    # ------------------------------------------------------------------
-    # MaxScore-pruned exact term-at-a-time (the big-corpus serving path)
-    # ------------------------------------------------------------------
-
-    #: pruning safety margin against float-accumulation-order noise
-    _EPS = 1e-9
-
-    def search_pruned(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        """Exact top-k with MaxScore-style pruning.
-
-        Terms are processed in DESCENDING upper-bound order; once the summed
-        upper bounds of the remaining terms can no longer lift a new doc into
-        the top-k, remaining (typically high-df) terms are only PROBED at the
-        current candidates' positions (vectorized searchsorted) instead of
-        scanned — 'the' with df=millions contributes |candidates| lookups,
-        not df.  The final top-2k are re-scored in canonical query-term order
-        (bit-identical to the oracle) and re-ranked, so results match
-        ``search`` exactly; pruning uses an epsilon margin so accumulation-
-        order float noise can never drop a true top-k doc.
-        """
-        terms = _query_terms(query)
-        post = self.lookup(terms)
-        live = []
-        for ti, t in enumerate(terms):
-            p = post.get(t)
-            if p is None:
-                continue
-            df, dids, tfs, _, bm = p
-            w = idf(self.n_docs, df)
-            ub = w * float(bm.max()) if len(bm) else 0.0
-            live.append((ub, ti, t, w, df, dids, tfs))
-        if not live:
-            return []
-        live.sort(key=lambda x: -x[0])
-        tail_ub = np.cumsum([ub for ub, *_ in live][::-1])[::-1]
-
-        cand_d = np.empty(0, dtype=np.int64)
-        cand_acc = np.empty(0, dtype=np.float64)
-        for i, (ub, ti, t, w, df, dids, tfs) in enumerate(live):
-            remaining = tail_ub[i]  # ub of this term + all later ones
-            if len(cand_acc) >= k:
-                kth = np.partition(cand_acc, len(cand_acc) - k)[len(cand_acc) - k]
-            else:
-                kth = -np.inf
-            probe_only = len(cand_acc) >= k and remaining < kth - self._EPS
-            if probe_only:
-                # no new doc can reach top-k: probe existing candidates only
-                pos = np.searchsorted(dids, cand_d.astype(np.uint64))
-                pos_c = np.clip(pos, 0, len(dids) - 1)
-                hit = dids[pos_c] == cand_d.astype(np.uint64)
-                if hit.any():
-                    wd_all = self._wd_cache.get(t)
-                    if wd_all is not None:  # hot term: reuse cached weights
-                        self._wd_cache.move_to_end(t)
-                        cand_acc[hit] += w * wd_all[pos_c[hit]]
-                    else:  # cold probe: compute only the hit positions
-                        cand_acc[hit] += w * _wd(
-                            tfs[pos_c[hit]], self.doc_len(cand_d[hit]), self.avgdl
-                        )
-                continue
-            # full merge of this term's postings into the candidate set.
-            # Both sides are sorted unique, so a searchsorted scatter-merge
-            # replaces unique(concatenate)'s full re-sort — same values, same
-            # per-doc add order (one add per term, in term-processing order),
-            # ~4 linear passes instead of an n-log-n sort of the union.
-            contrib = w * self._wd_of(t, (df, dids, tfs, None, None))
-            d64 = dids.astype(np.int64)
-            if not len(cand_d):
-                cand_d, cand_acc = d64, contrib.copy()
-                continue
-            pos = np.searchsorted(cand_d, d64)
-            pos_c = np.clip(pos, 0, len(cand_d) - 1)
-            dup = cand_d[pos_c] == d64
-            if dup.any():
-                cand_acc[pos_c[dup]] += contrib[dup]
-            nd, nc = d64[~dup], contrib[~dup]
-            if len(nd):
-                out_d = np.empty(len(cand_d) + len(nd), dtype=np.int64)
-                out_a = np.empty(len(out_d), dtype=np.float64)
-                ia = np.arange(len(cand_d)) + np.searchsorted(nd, cand_d)
-                ib = np.arange(len(nd)) + np.searchsorted(cand_d, nd)
-                out_d[ia], out_a[ia] = cand_d, cand_acc
-                out_d[ib], out_a[ib] = nd, nc
-                cand_d, cand_acc = out_d, out_a
-
-        kk = min(2 * k, len(cand_d))
-        if len(cand_d) > kk:
-            # keep every doc tied with the kk-th accumulated value: with a
-            # mass tie at the cut (identical tf/dl postings) an arbitrary
-            # argpartition pick could drop the canonical (score desc, docid
-            # asc) winners, which the rescore below cannot recover.
-            thresh = cand_acc[np.argpartition(-cand_acc, kk - 1)[kk - 1]]
-            part = np.flatnonzero(cand_acc >= thresh)
-        else:
-            part = np.arange(len(cand_d))
-        finalists = cand_d[part]
-        # canonical rescoring (query-term order) → bit-identical to oracle
-        return _topk(finalists, self._rescore(finalists, terms, post), k)
-
-    def _rescore(self, finalists: np.ndarray, terms: list[str], post: dict) -> np.ndarray:
-        """Vectorized exact rescore of ``finalists`` (int64 docids).
-
-        Per doc the float adds happen in query-term order with the exact
-        expression of ``score_all`` (idf * wd as two ops, float64), so each
-        score is bit-identical to scoring that doc alone — one searchsorted
-        per TERM instead of one per (doc, term)."""
-        scores = np.zeros(len(finalists), dtype=np.float64)
-        if not len(finalists):
-            return scores
-        f_u64 = finalists.astype(np.uint64)
-        for t in terms:
-            p = post.get(t)
-            if p is None:
-                continue
-            df, dids, tfs, _, _ = p
-            pos = np.searchsorted(dids, f_u64)
-            pos_c = np.clip(pos, 0, len(dids) - 1)
-            hit = dids[pos_c] == f_u64
-            if not hit.any():
-                continue
-            w = idf(self.n_docs, df)
-            wd_all = self._wd_cache.get(t)
-            if wd_all is not None:  # hot term: reuse cached weights
-                self._wd_cache.move_to_end(t)
-                scores[hit] += w * wd_all[pos_c[hit]]
-            else:
-                scores[hit] += w * _wd(
-                    tfs[pos_c[hit]], self.doc_len(finalists[hit]), self.avgdl
-                )
-        return scores
 
     # ------------------------------------------------------------------
     # term-dictionary range scans (IndexScan Ascending* analog)
@@ -1869,7 +1856,8 @@ class BM25Scorer:
     """Actor-pool map_batches stage: queries (query_id, text) → top-k rows.
 
     Index loaded ONCE per actor (__init__); per batch it scores each query
-    with ``search_pruned`` and emits (query_id, rank, docid, score).
+    with ``search`` (MaxScore on stopword-heavy queries) and emits
+    (query_id, rank, docid, score).
     """
 
     def __init__(self, index_dir: str, k: int = 10):
@@ -1878,7 +1866,7 @@ class BM25Scorer:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return hits_table(
-            (qid, self.index.search_pruned(text, self.k))
+            (qid, self.index.search(text, self.k))
             for qid, text in zip(batch.column("query_id").to_pylist(),
                                  batch.column("text").to_pylist())
         )

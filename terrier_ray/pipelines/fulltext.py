@@ -286,6 +286,7 @@ def _fetch_indexed_winners(
     against the tiny hit set is a broadcast semi join — extraction touches
     |need| docs, never the corpus.  Returns a pa.Table with docid, text,
     terms/tfs, plus ``extra_cols`` (e.g. lang for facets)."""
+    import pyarrow.dataset as pads
     import ray.data as rd
 
     from terrier_ray.datagen.webtext import url_doc_id
@@ -294,7 +295,8 @@ def _fetch_indexed_winners(
     from terrier_ray.text.tokenize import Tokenizer
 
     need_arr = pa.array(np.asarray(sorted(need), dtype=np.int64))
-    ds = rd.read_parquet(web, columns=["url", "warc_ts", "html", "text", *extra_cols])
+    cols = ["url", "warc_ts", "html", "text", *extra_cols]
+    ds = rd.read_parquet(web, columns=cols)
     extractor = HtmlExtractor()
 
     def fetch(batch: pa.Table) -> pa.Table:
@@ -305,16 +307,18 @@ def _fetch_indexed_winners(
         batch = batch.filter(pc_.is_in(d, value_set=need_arr))
         return extractor(batch)
 
-    texts_tbl = pa.concat_tables(
-        ds.map_batches(fetch, batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_size=None, batch_format="pyarrow")
-    )
+    batches = list(ds.map_batches(fetch, batch_format="pyarrow", zero_copy_batch=True)
+                   .iter_batches(batch_size=None, batch_format="pyarrow"))
+    if not batches:  # no docid matched: the same chain over no rows, typed
+        schema = pads.dataset(web).schema
+        batches = [fetch(pa.schema([schema.field(c) for c in cols]).empty_table())]
+    texts_tbl = pa.concat_tables(batches)
     tok = Tokenizer()(texts_tbl)  # row-aligned with texts_tbl
     tbl = tok.append_column("text", texts_tbl.column("text"))
     for c in extra_cols:
         if c not in tbl.column_names:  # the Tokenizer carries lang itself
             tbl = tbl.append_column(c, texts_tbl.column(c))
-    return _dedup_group(tbl)
+    return _dedup_group(tbl) if tbl.num_rows else tbl
 
 
 def _fetch_indexed_texts(web: str, need: "list[int]") -> "dict[int, str]":
@@ -515,7 +519,7 @@ def bm25_snippets(sf_dir: str, k: int = 5, num_queries: int = 5, window: int = 2
         queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
     ):
         terms_by_q[qid] = _query_terms(text)
-        hits[qid] = [d for d, _s in idx.search_pruned(text, k=k)]
+        hits[qid] = [d for d, _s in idx.search(text, k=k)]
     need = sorted({d for ds in hits.values() for d in ds})
     # most webtext rows carry only `html` — the shared pruned fetch runs the
     # SAME extractor + duplicated-url winner rule the index build used, so
@@ -614,8 +618,7 @@ def bm25_facets(sf_dir: str, k: int = 50, num_queries: int = 10):
     The facet attribute comes from the WINNER row of each hit docid
     (_fetch_indexed_winners — same dedup rule the index scored), fetched in
     ONE pruned distributed pass over the union of all queries' hit sets;
-    ranking uses the MaxScore-pruned exact path (rank-identical to
-    ``search``).  Rows-only entry: verified vs a scalar oracle mirror in
+    ranking is ``search`` (exact top-k).  Rows-only entry: verified vs a scalar oracle mirror in
     tests/test_multifield.py."""
     from terrier_ray.index.bm25 import BM25Index
 
@@ -626,7 +629,7 @@ def bm25_facets(sf_dir: str, k: int = 50, num_queries: int = 10):
     for qid, text in zip(
         queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
     ):
-        hits_by_q[qid] = [d for d, _ in idx.search_pruned(text, k=k)]
+        hits_by_q[qid] = [d for d, _ in idx.search(text, k=k)]
     need = sorted({d for hs in hits_by_q.values() for d in hs})
     if not need:
         return pa.table(

@@ -57,3 +57,32 @@ def webtext_small(tmp_root):
     path = os.path.join(str(tmp_root), "webtext_small")
     generate_webtext_parquet(path, num_docs=400, seed=42)
     return path
+
+
+@pytest.fixture
+def force_prune(monkeypatch):
+    """``force_prune(pruned)`` forces the BM25 executor's path rule
+    (``bm25.PRUNE_MIN_DF``) for the rest of the test: True sends every
+    top-k OR plan to MaxScore, False to exact TAAT.  It patches this
+    process and returns ``_unit_task`` under the same rule as a Ray task,
+    for a distributed reader's ``_task``."""
+    from terrier_ray.index import bm25
+
+    def force(pruned: bool):
+        import ray
+
+        cut = 0 if pruned else float("inf")
+        monkeypatch.setattr(bm25, "PRUNE_MIN_DF", cut)
+
+        def task(*args):
+            from terrier_ray.index import bm25 as worker_bm25
+
+            saved, worker_bm25.PRUNE_MIN_DF = worker_bm25.PRUNE_MIN_DF, cut
+            try:
+                return worker_bm25._unit_task(*args)
+            finally:
+                worker_bm25.PRUNE_MIN_DF = saved
+
+        return ray.remote(task)
+
+    return force

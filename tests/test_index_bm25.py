@@ -91,7 +91,7 @@ def test_topk_rank_identical(built_index, oracle):
     assert n_nonempty > 20
 
 
-def test_pruned_spike_geometry_regression(built_index):
+def test_pruned_spike_geometry_regression(built_index, force_prune):
     """MaxScore's probe-only decision on the adversarial geometry that once
     broke a block-max pruner (a true top-k doc dropped, seen live at 960k
     docs).  Constructed over real docids via a monkeypatched lookup: term
@@ -99,7 +99,8 @@ def test_pruned_spike_geometry_regression(built_index):
     sits in a weak A-block; an earlier A+B doc Y sets the k=2 threshold
     above X's A-only score, so only term B — whose bound is below that
     threshold, making it probe-only — lifts X into the top-2.  The
-    hand-computed top-2 must equal ``search_pruned`` and ``search``."""
+    hand-computed top-2 must equal ``search`` on the MaxScore path and on
+    the exact path."""
     import numpy as np
 
     from terrier_ray.index.bm25 import B, K1, idf
@@ -160,8 +161,10 @@ def test_pruned_spike_geometry_regression(built_index):
     # it: B is only probed at A's candidates, never scanned
     assert w_b * float(b_bm.max()) < w_a * wd(y_doc, 1)
     want = sorted(score.items(), key=lambda x: (-x[1], x[0]))[:2]
-    got = idx.search_pruned("qqqa qqqb", 2)
+    force_prune(True)
+    got = idx.search("qqqa qqqb", 2)
     assert got == want
+    force_prune(False)
     assert got == idx.search("qqqa qqqb", 2)
 
 
@@ -362,14 +365,15 @@ def test_stats_without_salted_terms_raises(built_index, tmp_root):
         BM25Index(broken)
 
 
-def test_pruned_matches_oracle(built_index, oracle):
+def test_pruned_matches_oracle(built_index, oracle, force_prune):
     out, _ = built_index
     idx = BM25Index(out)
     queries = generate_queries(30)
+    force_prune(True)
     for text in queries.column("text").to_pylist():
         # include stopword-heavy variants (the pruning-heavy path)
         for q in (text, text + " the of and a to"):
-            assert idx.search_pruned(q, 10) == oracle.search(q, 10), q
+            assert idx.search(q, 10) == oracle.search(q, 10), q
 
 
 def test_ef_path_rank_identical(ray_session, webtext_small, tmp_root, oracle):
@@ -633,7 +637,7 @@ def test_scale_paths_build_identical_corpus(
     assert a.equals(b)
 
 
-def test_heavy_term_salted_subpostings(ray_session, tmp_root):
+def test_heavy_term_salted_subpostings(ray_session, tmp_root, force_prune):
     """Skew mitigation (north rule): plant a df≈N term and require that the
     single-exchange build splits it into docid-range sub-postings — max
     per-group posting rows bounded by ~df/num_salts — while search stays
@@ -713,9 +717,11 @@ def test_heavy_term_salted_subpostings(ray_session, tmp_root):
     assert pa_[0] == pb_[0] == total_df
     assert np.array_equal(pa_[1], pb_[1]) and np.array_equal(pa_[2], pb_[2])
     assert np.array_equal(np.sort(pa_[3]), pa_[3])  # block_last still sorted
-    for q in ["zzzhot", "zzzhot weather news", "the zzzhot of"]:
-        for fn_a, fn_b in [(a.search, b.search), (a.search_pruned, b.search_pruned)]:
-            assert fn_a(q, 10) == fn_b(q, 10), q
+    for pruned in (False, True):
+        force_prune(pruned)
+        for q in ["zzzhot", "zzzhot weather news", "the zzzhot of"]:
+            assert a.search(q, 10) == b.search(q, 10), (pruned, q)
+    force_prune(False)
     queries = generate_queries(20).column("text").to_pylist()
     for q in queries:
         assert a.search(q, 10) == b.search(q, 10), q
@@ -1186,13 +1192,13 @@ def test_read_term_rows_spanning_row_groups(tmp_path):
     )
 
 
-def test_pruned_tied_finalist_cut(ray_session, tmp_root):
+def test_pruned_tied_finalist_cut(ray_session, tmp_root, force_prune):
     """MaxScore's finalist cut must keep every candidate tied with the
-    kk-th accumulated mass: with N identical (tf, dl) postings the masses
-    all tie, and an arbitrary argpartition pick of kk candidates could
+    k-th accumulated mass: with N identical (tf, dl) postings the masses
+    all tie, and an arbitrary argpartition pick of k candidates could
     drop the canonical (score desc, docid asc) winners — which the exact
     rescore can never recover.  Regression for the >=-threshold cut in
-    BM25Index.search_pruned."""
+    bm25._maxscore."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -1219,9 +1225,11 @@ def test_pruned_tied_finalist_cut(ray_session, tmp_root):
     idx_dir = os.path.join(str(tmp_root), "idx_tied")
     build_index(src, idx_dir, num_buckets=4, num_salts=1)
     idx = BM25Index(idx_dir)
-    k = 3  # kk = 2k = 6 << 60 candidates → the argpartition cut triggers
+    k = 3  # k << 60 tied candidates → the finalist cut triggers
+    force_prune(False)
     exact = idx.search("tietok", k)
-    pruned = idx.search_pruned("tietok", k)
+    force_prune(True)
+    pruned = idx.search("tietok", k)
     assert pruned == exact, (pruned, exact)
     # the canonical winners are the k SMALLEST docids of the tied set
     all_docids = sorted(int(x) for x in idx.doclens.docids())
@@ -1335,6 +1343,79 @@ def test_facet_sidecar_equals_winner_fetch(ray_session, sf_smoke):
 
     got = dict(zip(need, idx.docvalues_of(np.asarray(need))))
     assert got == want
+
+
+def test_fetch_indexed_winners_absent_docids(ray_session, webtext_small):
+    """Docids absent from the corpus match no row: the winner fetch returns
+    a typed empty table with the columns a matching fetch has, not an
+    ArrowInvalid from concatenating no batches."""
+    from terrier_ray.datagen.webtext import url_doc_id
+    from terrier_ray.pipelines.fulltext import _fetch_indexed_winners
+
+    import pyarrow.dataset as pads
+
+    url = pads.dataset(webtext_small).to_table(columns=["url"]).column("url")[0].as_py()
+    hit = _fetch_indexed_winners(webtext_small, [int(url_doc_id([url])[0])], ("lang",))
+    assert hit.num_rows == 1
+    absent = [1, 2, 3]  # url hashes never land on these
+    empty = _fetch_indexed_winners(webtext_small, absent, ("lang",))
+    assert empty.num_rows == 0
+    assert empty.schema == hit.schema
+
+
+def test_distributed_stopword_identical_both_paths(built_index, oracle, force_prune):
+    """Shard-side scoring of stopword-heavy queries equals the oracle on
+    both sides of the path rule: exact TAAT and MaxScore in every
+    ``_unit_task``, over the doclen parts and over finer docid ranges."""
+    from terrier_ray.index.bm25 import DistributedBM25
+
+    out, _ = built_index
+    dist = DistributedBM25(out)
+    texts = [t + " the of and" for t in generate_queries(10).column("text").to_pylist()]
+    want = [oracle.search(q, 10) for q in texts]
+    for pruned in (False, True):
+        dist._task = force_prune(pruned)
+        for shards in (None, 3):
+            assert dist.search_many_sharded(texts, k=10, num_shards=shards) == want, (
+                pruned, shards)
+
+
+@pytest.fixture(scope="module")
+def stopword_index(ray_session, tmp_root):
+    """A 14k-doc index: big enough that the stopword band's summed df
+    crosses the shipped path rule (``bm25.PRUNE_MIN_DF``)."""
+    from terrier_ray.datagen.webtext import generate_webtext_parquet
+
+    web = generate_webtext_parquet(os.path.join(str(tmp_root), "webtext_14k"),
+                                   num_docs=14_000, seed=5)
+    out = os.path.join(str(tmp_root), "index_14k")
+    build_index(web, out, num_buckets=4)
+    return out
+
+
+def test_path_rule_unforced(stopword_index):
+    """The path rule as shipped: a light query keeps every match in
+    ``score_all(q, k)``, its stopword variant prunes to fewer docs with the
+    same top k, and a plan with a negative weight stays exact."""
+    from terrier_ray.index import bm25
+
+    idx = BM25Index(stopword_index)
+    k = 10
+    light = generate_queries(1, seed=5).column("text")[0].as_py()
+    stop = light + " the of and"
+
+    def summed_df(q):
+        return sum(p[0] for p in idx.lookup(bm25._query_terms(q)).values() if p is not None)
+
+    assert summed_df(light) < bm25.PRUNE_MIN_DF <= summed_df(stop)
+    assert len(idx.score_all(light, k)[0]) == len(idx.score_all(light)[0])
+    assert len(idx.score_all(stop, k)[0]) < len(idx.score_all(stop)[0])
+    assert idx.search(stop, k) == bm25._topk(*idx.score_all(stop), k)
+    pos = tuple((t, 1.0) for t in bm25._query_terms(stop))
+    neg = pos + (("the", -0.5),)
+    assert len(idx._run(pos, k)[0]) < len(idx._run(pos)[0])
+    assert len(idx._run(neg, k)[0]) == len(idx._run(neg)[0])
+    assert idx.search_weighted(list(neg), k) == bm25._topk(*idx._run(neg), k)
 
 
 def test_numeric_docvalues_match_corpus(built_index):

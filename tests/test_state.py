@@ -657,6 +657,52 @@ def test_segmented_reader_surfaces_identical(dml_segments):
     assert pages == mono.search(q, k=10**9) and pages
 
 
+def test_segmented_stopword_identical_both_paths(dml_segments, force_prune):
+    """Stopword-heavy top-k over the UPDATE + DELETE segments equals the
+    oracle over the final snapshot's live docs on both sides of the path
+    rule: ``search`` and ``search_weighted`` of the segmented reader and
+    ``DistributedSegmentedBM25.search_many``.  MaxScore probes each unit
+    after its dead mask, so an updated doc's old body never scores."""
+    from terrier_ray.datagen.webtext import generate_queries
+    from terrier_ray.index.bm25 import (
+        DistributedSegmentedBM25,
+        SegmentedBM25,
+        _query_terms,
+    )
+    from terrier_ray.index.oracle import OracleBM25
+
+    segs, tombs, mono, (a, b, _), _ = dml_segments
+    work = os.path.dirname(mono.index_dir)
+    oracle = OracleBM25(os.path.join(work, "mono_c"))
+    seg = SegmentedBM25(segs, tombs)
+    dseg = DistributedSegmentedBM25(segs, tombstone_dirs=tombs)
+    qs = [q + " the of and" for q in generate_queries(8).column("text").to_pylist()]
+    qs += [f"{a} {b} the of and", "zebra quokka the of and"]
+    # each dead body's rarest terms that live docs still hold: an old body
+    # that scored would rank first
+    before = OracleBM25(os.path.join(work, "web"))
+    dead = [d for d, toks in before.doc_tokens.items() if oracle.doc_tokens.get(d) != toks]
+    assert dead  # the UPDATE and the DELETE each leave a dead body
+    for d in dead:
+        live_terms = {t for t in before.doc_tokens[d] if t in oracle.df}
+        rare = sorted(live_terms, key=lambda t: (oracle.df[t], t))[:3]
+        qs.append(" ".join(rare) + " the of and")
+    want = [oracle.search(q, 10) for q in qs]
+    assert all(want)
+    clauses = [(a, 2.0), (b, 1.0), ("zebra", 0.5), ("the", 1.0), ("of", 0.25)]
+    force_prune(False)
+    want_w = mono.search_weighted(clauses, k=25)
+    for pruned in (False, True):
+        dseg._task = force_prune(pruned)
+        assert [seg.search(q, 10) for q in qs] == want, pruned
+        assert dseg.search_many(qs, 10) == want, pruned
+        for q, w in zip(qs, want):  # unit boosts: the plan of ``search``
+            assert seg.search_weighted([(t, 1.0) for t in _query_terms(q)], k=10) == w
+        assert seg.search_weighted(clauses, k=25) == want_w, pruned
+        pruned_docs = sum(len(seg.score_all(q, 10)[0]) for q in qs)
+        assert (pruned_docs < sum(len(seg.score_all(q)[0]) for q in qs)) == pruned
+
+
 def test_segmented_reader_rejects_merged_dictionary_and_docvalues(dml_segments):
     """Prefix and fuzzy expansion need a term dictionary merged across
     segments, and DML snapshot segments carry no docvalue sidecar: all
