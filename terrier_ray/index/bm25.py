@@ -409,7 +409,7 @@ def _probe(p: tuple, docs: np.ndarray, dl: np.ndarray, avgdl: float):
     int64, doc lengths ``dl``): the live docids of the unit ``p`` belongs
     to — never another unit's, whose body may differ after an UPDATE."""
     q = docs.astype(np.uint64)
-    pos = np.clip(np.searchsorted(p[1], q), 0, len(p[1]) - 1)
+    pos = np.minimum(np.searchsorted(p[1], q), len(p[1]) - 1)
     hit = p[1][pos] == q
     return hit, _wd(p[2][pos[hit]], dl[hit], avgdl)
 
@@ -420,7 +420,8 @@ def _maxscore(units, posts, pairs, stats: tuple, k: int):
     scores float64).
 
     Per unit, a pair's bound is ``w * idf * _wd(max tf, min dl, avgdl)``
-    over its posting row, valid under any docid range and dead set.  Pairs
+    over its posting row (``BM25Index._wd_bound``), valid under any docid
+    range and dead set.  Pairs
     run in descending bound order; once the bounds left cannot reach the
     running k-th score (less ``_EPS``), they are only probed at the
     unit's candidates.  Candidates within ``_EPS`` of the k-th score
@@ -437,7 +438,7 @@ def _maxscore(units, posts, pairs, stats: tuple, k: int):
             dft = 0 if p is None else p[0] if df is None else df.get(t, 0)
             if dft > 0:
                 wi = w * idf(n_docs, dft)
-                live.append((wi * _wd(*u.idx._tf_dl_bound(t, p), avgdl), i, wi, p))
+                live.append((wi * u.idx._wd_bound(t, p, avgdl), i, wi, p))
         if not live or sum(b for b, *_ in live) < theta - _EPS:
             continue
         live.sort(key=lambda x: -x[0])
@@ -931,7 +932,7 @@ class BM25Index(_Reader):
         self._cache: "OrderedDict[str, tuple | None]" = OrderedDict()
         self._wd_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._pf_cache: "OrderedDict[int, tuple | None]" = OrderedDict()
-        self._bound_cache: "dict[str, tuple]" = {}
+        self._bound_cache: "dict[tuple, float]" = {}
         # fuzzy serving caches: per-first-char dictionary slices (≤36) and
         # per-(term, params) expansion lists (fuzzy_expand docstring)
         self._dict_slice_cache: "OrderedDict[str, tuple]" = OrderedDict()
@@ -1034,14 +1035,15 @@ class BM25Index(_Reader):
             self._wd_cache.popitem(last=False)
         return w
 
-    def _tf_dl_bound(self, t: str, p: tuple) -> tuple:
-        """(max tf, min dl) over term ``t``'s postings ``p``, cached.  ``_wd``
-        rises with tf and falls with dl, so ``_wd(*this, avgdl)`` bounds the
-        term's weight at any avgdl under any docid range or dead set (the
-        build's float32 ``block_max_wd`` holds only at this avgdl)."""
-        b = self._bound_cache.get(t)
+    def _wd_bound(self, t: str, p: tuple, avgdl: float) -> float:
+        """``_wd(max tf, min dl, avgdl)`` over term ``t``'s postings ``p``,
+        cached.  ``_wd`` rises with tf and falls with dl, so this bounds the
+        term's weight under any docid range or dead set (the build's
+        float32 ``block_max_wd`` holds only at this index's avgdl)."""
+        b = self._bound_cache.get((t, avgdl))
         if b is None:
-            b = self._bound_cache[t] = (p[2].max(), self.doc_len(p[1]).min())
+            b = self._bound_cache[t, avgdl] = float(
+                _wd(p[2].max(), self.doc_len(p[1]).min(), avgdl))
             if len(self._bound_cache) > self.CACHE_CAP:
                 del self._bound_cache[next(iter(self._bound_cache))]
         return b
