@@ -34,9 +34,9 @@ one-unit shard) to one Ray task (``_unit_task``) and merges the k-lists
 (``_fan_out``).
 
 Given a query's k, the executor picks exact TAAT or MaxScore
-(``_maxscore``) per OR plan and shard from the posting dfs it fetched
-(``_prunes``, ``PRUNE_MIN_DF``).  Both return the exact top k with
-oracle-identical scores, so the rule moves only latency.
+(``_maxscore``) per OR plan and shard from how many fetched postings lie
+in the shard's units (``_prunes``, ``PRUNE_MIN_DF``).  Both return the
+exact top k with oracle-identical scores, so the rule moves only latency.
 
 Reference analogs: IndexScan / IndexNLJoin (posting lookup,
 /root/reference/src/execution/compiler/operator/index_scan_translator.cpp),
@@ -170,12 +170,18 @@ class Unit(NamedTuple):
     dead: np.ndarray = _NO_DOCS
 
 
+def _span(u: Unit, dids: np.ndarray) -> "tuple[int, int]":
+    """[i0, i1): the positions of sorted uint64 ``dids`` in u's range."""
+    if u.lo > 0 or u.hi < _END:
+        return tuple(np.searchsorted(dids, np.asarray([u.lo, u.hi], dtype=np.uint64)))
+    return 0, len(dids)
+
+
 def _live(u: Unit, dids: np.ndarray, tfs: np.ndarray):
     """(docids uint64, tfs) of a posting list inside unit ``u``: its docid
     range, with the unit's dead docids dropped."""
-    if u.lo > 0 or u.hi < _END:
-        i0, i1 = np.searchsorted(dids, np.asarray([u.lo, u.hi], dtype=np.uint64))
-        dids, tfs = dids[i0:i1], tfs[i0:i1]
+    i0, i1 = _span(u, dids)
+    dids, tfs = dids[i0:i1], tfs[i0:i1]
     if u.dead.size and len(dids):
         d64 = dids.astype(np.int64)
         pos = np.clip(np.searchsorted(u.dead, d64), 0, u.dead.size - 1)
@@ -382,21 +388,45 @@ def _pair_docs(units, posts, pairs, stats: tuple, chunks_d, chunks_c):
 #: MaxScore's margin against float accumulation-order noise
 _EPS = 1e-9
 
-#: the path rule: a top-k OR plan with no negative weight runs MaxScore
-#: when its terms' posting-row dfs over the shard sum to at least this.
-#: Measured on a 60k-doc index (one cpu, k=10, exact / pruned p50): warm
-#: reads cross over near a summed df of 5k (0.72 / 0.58 ms), first-touch
-#: reads near 16k; at 30k pruned runs 4.4x faster warm and 2x first-touch,
-#: and still 1.5x at k=1000.  The cut is twice the first-touch crossover:
-#: light queries (summed df p50 950, max 19,205) stay exact and the
-#: stopword band (156,866 up) prunes.
+#: the path rule (``_prunes``): a top-k OR plan with no negative weight
+#: runs MaxScore when its terms hold this many postings inside the shard's
+#: units.  Measured on a 60k-doc index (one cpu, k=10, p50, the side run
+#: first alternating): an in-process reader crosses over near 5k postings
+#: warm and 16k first-touch (pruned 4.4x / 2x faster at 30k, 1.5x at
+#: k=1000), a shard task (``_unit_task``: a fresh handle on one docid range)
+#: near 4k (pruned 2.4x faster at 16-24k, 5.2x at 32-48k).  The cut is twice
+#: the larger crossover: light queries (summed df max 19,205) stay exact, the
+#: stopword band (156,866 up) prunes in-process and on shards with 32k of it.
 PRUNE_MIN_DF = 32_000
 
 
-def _prunes(plan: tuple, posts: list, k) -> bool:
+def _prunes(plan: tuple, units, posts: list, k) -> bool:
     return bool(k) and all(w >= 0 for _, w in plan) and sum(
-        p[0] for post in posts for t, _ in plan if (p := post.get(t)) is not None
+        i1 - i0 for u, post in zip(units, posts) for t, _ in plan
+        if (p := post.get(t)) is not None for i0, i1 in [_span(u, p[1])]
     ) >= PRUNE_MIN_DF
+
+
+def _bound(u: Unit, t: str, p: tuple, avgdl: float) -> float:
+    """``_wd(max tf, min dl, avgdl)`` over unit ``u``'s share of term
+    ``t``'s posting row ``p`` (0.0 when it holds none).  ``_wd`` rises with
+    tf and falls with dl, so this bounds the term at every live doc of u.
+    A whole unit bounds its row, cached per (term, avgdl); a range unit
+    takes its slice's max tf and its range's least doc length (cached per
+    range), so a shard reads only its own doclens."""
+    idx, (i0, i1) = u.idx, _span(u, p[1])
+    whole = u.lo <= 0 and u.hi >= _END
+    key = (t, avgdl) if whole else (u.lo, u.hi)
+    b = idx._bound_cache.get(key)
+    if b is None:
+        b = idx._bound_cache[key] = (
+            float(_wd(p[2].max(), idx.doc_len(p[1]).min(), avgdl)) if whole
+            else np.float64(idx.doclens.min_in(u.lo, u.hi)))
+        if len(idx._bound_cache) > idx.CACHE_CAP:
+            del idx._bound_cache[next(iter(idx._bound_cache))]
+    if whole:
+        return b
+    return float(_wd(p[2][i0:i1].max(), b, avgdl)) if i1 > i0 else 0.0
 
 
 def _kth(acc: np.ndarray, k: int) -> float:
@@ -419,16 +449,15 @@ def _maxscore(units, posts, pairs, stats: tuple, k: int):
     of the OR plan ``pairs``' top ``k``, (docids ascending int64, exact
     scores float64).
 
-    Per unit, a pair's bound is ``w * idf * _wd(max tf, min dl, avgdl)``
-    over its posting row (``BM25Index._wd_bound``), valid under any docid
-    range and dead set.  Pairs
-    run in descending bound order; once the bounds left cannot reach the
+    Per unit, a pair's bound is ``w * idf * _bound``.  Pairs run in
+    descending bound order; once the bounds left cannot reach the
     running k-th score (less ``_EPS``), they are only probed at the
     unit's candidates.  Candidates within ``_EPS`` of the k-th score
     (ties included) are rescored in pair order with ``(w * idf) * wd``,
     bit-identical to ``_pair_docs``.  The k-th exact score carries from
-    unit to unit, and a unit whose summed bounds cannot reach it is
-    skipped (SAP, ICDE 2018)."""
+    unit to unit of the shard, and a unit whose summed bounds cannot reach
+    it is skipped (SAP, ICDE 2018); a local reader's one shard holds all
+    its segments, a distributed task's shard one unit."""
     n_docs, avgdl, df = stats
     fin_d, fin_s, theta = [_NO_DOCS], [np.empty(0)], -np.inf
     for u, post in zip(units, posts):
@@ -438,7 +467,7 @@ def _maxscore(units, posts, pairs, stats: tuple, k: int):
             dft = 0 if p is None else p[0] if df is None else df.get(t, 0)
             if dft > 0:
                 wi = w * idf(n_docs, dft)
-                live.append((wi * u.idx._wd_bound(t, p, avgdl), i, wi, p))
+                live.append((wi * _bound(u, t, p, avgdl), i, wi, p))
         if not live or sum(b for b, *_ in live) < theta - _EPS:
             continue
         live.sort(key=lambda x: -x[0])
@@ -491,7 +520,7 @@ def _score_shard(plans, shard: dict, posts: dict, stats: dict, hits, phrase_df, 
     out, pi = [], 0  # pi: the next phrase clause's index into hits
     for plan in plans:
         if isinstance(plan, tuple):  # a bare or weighted OR query: no masks
-            if _prunes(plan, posts[None], k):
+            if _prunes(plan, shard[None], posts[None], k):
                 out.append(_maxscore(shard[None], posts[None], plan, stats[None], k))
                 continue
             chunks_d, chunks_c = [], []
@@ -839,6 +868,15 @@ class DocidColumn:
         """Every value, in docid order (O(N))."""
         return np.concatenate([v for _, v in self.parts] + [np.empty(0, self.dtype)])
 
+    def min_in(self, lo: int, hi: int):
+        """The least value over the docids in [lo, hi), reading only the
+        parts that range overlaps; None when it holds no docid."""
+        lows = self.lo.tolist()
+        vals = [val[np.searchsorted(did, lo):np.searchsorted(did, hi - 1, "right")]
+                for (did, val), plo, phi in zip(self.parts, lows, lows[1:] + [_END])
+                if plo < hi and phi > lo]
+        return min((v.min() for v in vals if len(v)), default=None)
+
     def gather(self, docids: np.ndarray) -> np.ndarray:
         """Values for ``docids``; a docid the sidecar lacks raises KeyError
         — never a silently-wrong value from a neighbouring row."""
@@ -890,8 +928,8 @@ class BM25Index(_Reader):
     stats['salted_terms'] (too big to fold into one parquet cell at scale)
     keep the multi-bucket layout; for those ``lookup`` reads the candidate
     buckets and concatenates the parts in salt order — ranges are disjoint
-    and ascending, so postings, block_last and block_max metadata
-    concatenate verbatim into one valid list.  Every stats.json
+    and ascending, so the postings concatenate verbatim into one valid
+    list.  Every stats.json
     build_index writes lists 'salted_terms'; one without it raises.
     """
 
@@ -932,6 +970,7 @@ class BM25Index(_Reader):
         self._cache: "OrderedDict[str, tuple | None]" = OrderedDict()
         self._wd_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._pf_cache: "OrderedDict[int, tuple | None]" = OrderedDict()
+        #: MaxScore's (term, avgdl) bounds and (lo, hi) least doc lengths
         self._bound_cache: "dict[tuple, float]" = {}
         # fuzzy serving caches: per-first-char dictionary slices (≤36) and
         # per-(term, params) expansion lists (fuzzy_expand docstring)
@@ -976,11 +1015,14 @@ class BM25Index(_Reader):
     ) -> "pa.Table | None":
         """Posting rows of ``ts`` from one bucket: row-group-pruned direct
         reads through the cached file handle.  ``columns`` restricts the
-        read (e.g. ["term", "df"] skips the posting blobs entirely)."""
+        read (e.g. ["term", "df"] skips the posting blobs entirely); a
+        column the file lacks is skipped."""
         ent = self._bucket_handle(bucket)
         if ent is None:
             return None
         pf, mins, maxs = ent
+        if columns is not None:
+            columns = [c for c in columns if c in pf.schema_arrow.names]
         if mins is None:  # no footer statistics (foreign writer): slow path
             return pq.read_table(
                 os.path.join(self.postings_dir, f"bucket-{bucket:05d}.parquet"),
@@ -1028,29 +1070,16 @@ class BM25Index(_Reader):
         if w is not None:
             self._wd_cache.move_to_end(t)
             return w
-        _df, dids, tfs, _, _ = p
-        w = _wd(tfs, self.doc_len(dids), self.avgdl)
+        w = _wd(p[2], self.doc_len(p[1]), self.avgdl)
         self._wd_cache[t] = w
         while len(self._wd_cache) > self.WD_CACHE_CAP:
             self._wd_cache.popitem(last=False)
         return w
 
-    def _wd_bound(self, t: str, p: tuple, avgdl: float) -> float:
-        """``_wd(max tf, min dl, avgdl)`` over term ``t``'s postings ``p``,
-        cached.  ``_wd`` rises with tf and falls with dl, so this bounds the
-        term's weight under any docid range or dead set (the build's
-        float32 ``block_max_wd`` holds only at this index's avgdl)."""
-        b = self._bound_cache.get((t, avgdl))
-        if b is None:
-            b = self._bound_cache[t, avgdl] = float(
-                _wd(p[2].max(), self.doc_len(p[1]).min(), avgdl))
-            if len(self._bound_cache) > self.CACHE_CAP:
-                del self._bound_cache[next(iter(self._bound_cache))]
-        return b
-
     def doc_len(self, docids: np.ndarray) -> np.ndarray:
         """float64 doc lengths of ``docids`` from the doclens sidecar."""
         return self.doclens.gather(docids).astype(np.float64)
+
 
     def _buckets_of(self, term: str, h: int) -> list[int]:
         """Bucket file(s) holding a term's posting row(s)."""
@@ -1065,26 +1094,20 @@ class BM25Index(_Reader):
 
     @staticmethod
     def _merge_parts(parts: "list[tuple]"):
-        """(salt, df, dids, tfs, bl, bm) parts → one posting tuple.
+        """(salt, df, dids, tfs) parts → one posting tuple.
 
         Docid-range salting makes parts disjoint and ascending in salt
         order, so this is a concat; df sums to the term's true df."""
         if len(parts) == 1:
-            _, df, dids, tfs, bl, bm = parts[0]
-            return (df, dids, tfs, bl, bm)
+            return parts[0][1:]
         parts = sorted(parts, key=lambda p: p[0])
-        return (
-            sum(p[1] for p in parts),
-            np.concatenate([p[2] for p in parts]),
-            np.concatenate([p[3] for p in parts]),
-            np.concatenate([p[4] for p in parts]),
-            np.concatenate([p[5] for p in parts]),
-        )
+        return (sum(p[1] for p in parts), np.concatenate([p[2] for p in parts]),
+                np.concatenate([p[3] for p in parts]))
 
     def lookup(self, terms: list[str]):
         """Fetch posting rows for terms (grouped per bucket, one read each).
 
-        Returns {term: (df, docids, tfs, block_last, block_max_wd) | None}.
+        Returns {term: (df, docids, tfs) | None}; block metadata is not read.
         """
         result: dict[str, tuple | None] = {}
         missing = []
@@ -1102,26 +1125,14 @@ class BM25Index(_Reader):
                     by_bucket.setdefault(b, []).append(t)
             parts: dict[str, list[tuple]] = {}
             for bucket, ts in by_bucket.items():
-                tab = self._read_term_rows(bucket, ts)
+                tab = self._read_term_rows(bucket, ts, ["term", "salt", "df", "postings"])
                 if tab is None or tab.num_rows == 0:
                     continue
                 d = tab.to_pydict()  # one columnar decode, no per-cell .as_py()
                 salts = d["salt"] if "salt" in d else [0] * tab.num_rows
-                for term, salt, df, post, bl_b, bm_b in zip(
-                    d["term"], salts, d["df"],
-                    d["postings"], d["block_last"], d["block_max_wd"],
-                ):
+                for term, salt, df, post in zip(d["term"], salts, d["df"], d["postings"]):
                     dids, tfs = decode_final_postings(post)
-                    parts.setdefault(term, []).append(
-                        (
-                            int(salt),
-                            int(df),
-                            dids,
-                            tfs,
-                            np.frombuffer(bl_b, dtype="<u8"),
-                            np.frombuffer(bm_b, dtype="<f4"),
-                        )
-                    )
+                    parts.setdefault(term, []).append((int(salt), int(df), dids, tfs))
             for t in missing:
                 result[t] = self._merge_parts(parts[t]) if t in parts else None
                 self._cache[t] = result[t]
@@ -1518,7 +1529,7 @@ class BM25Index(_Reader):
         p = self.lookup([term]).get(term)
         if p is None:
             return empty
-        _df, dids, tfs, _bl, _bm = p
+        _df, dids, tfs = p
         block = int(self.stats.get("block_size", 128))
 
         # posbucket rows per salt (heavy per ORIGINAL heavy_terms list —
@@ -1776,7 +1787,6 @@ class DistributedSegmentedBM25:
         import ray
 
         self.local = SegmentedBM25(segment_dirs, tombstone_dirs=tombstone_dirs)
-        self.segment_dirs = list(segment_dirs)
         self._task = ray.remote(_unit_task)
 
     def search_many(self, queries: "list[str]", k: int = 10):

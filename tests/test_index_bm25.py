@@ -103,6 +103,7 @@ def test_pruned_spike_geometry_regression(built_index, force_prune):
     the exact path."""
     import numpy as np
 
+    from terrier_ray.index import bm25
     from terrier_ray.index.bm25 import B, K1, idf
 
     out, _ = built_index
@@ -132,17 +133,14 @@ def test_pruned_spike_geometry_regression(built_index, force_prune):
     # term A: spike tf=20 (block 1, with Y), X alone in block 2
     a_dids = np.array([spike, y_doc, x_doc], dtype=np.uint64)
     a_tfs = np.array([20, 1, 1], dtype=np.uint32)
-    a_bl = np.array([y_doc, x_doc], dtype=np.uint64)
     a_bm = np.array([max(wd(spike, 20), wd(y_doc, 1)), wd(x_doc, 1)],
                     dtype=np.float32)
     # term B: tf=1 at Y (the threshold-setter), tf=8 at X
     b_dids = np.array([y_doc, x_doc], dtype=np.uint64)
     b_tfs = np.array([1, 8], dtype=np.uint32)
-    b_bl = np.array([x_doc], dtype=np.uint64)
     b_bm = np.array([max(wd(y_doc, 1), wd(x_doc, 8))], dtype=np.float32)
     df_a, df_b = 100, 300  # idf_B ≪ idf_A so A's ub alone clears the bar
-    post = {"qqqa": (df_a, a_dids, a_tfs, a_bl, a_bm),
-            "qqqb": (df_b, b_dids, b_tfs, b_bl, b_bm)}
+    post = {"qqqa": (df_a, a_dids, a_tfs), "qqqb": (df_b, b_dids, b_tfs)}
     idx.lookup = lambda terms: {t: post.get(t) for t in terms}
     getattr(idx, "_wd_cache", {}).clear()  # drop cached synthetic weights
 
@@ -160,6 +158,9 @@ def test_pruned_spike_geometry_regression(built_index, force_prune):
     # after A, the k=2 cut sits at Y's A-only score and B's bound is below
     # it: B is only probed at A's candidates, never scanned
     assert w_b * float(b_bm.max()) < w_a * wd(y_doc, 1)
+    # ... and so is the bound MaxScore itself uses for B
+    bound_b = bm25._bound(bm25.Unit(idx), "qqqb", post["qqqb"], idx.avgdl)
+    assert w_b * bound_b < w_a * wd(y_doc, 1)
     want = sorted(score.items(), key=lambda x: (-x[1], x[0]))[:2]
     force_prune(True)
     got = idx.search("qqqa qqqb", 2)
@@ -685,9 +686,9 @@ def test_heavy_term_salted_subpostings(ray_session, tmp_root, force_prune):
     for bf in glob.glob(os.path.join(salted_dir, "postings", "bucket-*.parquet")):
         t = pq.read_table(bf, filters=[("term", "==", "zzzhot")])
         rows.extend(zip([bf] * t.num_rows, t.column("df").to_pylist(),
-                        t.column("postings").to_pylist()))
+                        t.column("postings").to_pylist(), t.column("block_last").to_pylist()))
     assert len(rows) == 1, "fold pass left multiple rows"
-    bf, total_df, blob = rows[0]
+    bf, total_df, blob, block_last = rows[0]
     primary = int(term_hash(np.asarray(["zzzhot"], dtype=object))[0] % 8)
     assert bf.endswith(f"bucket-{primary:05d}.parquet")
     n = stats["n_docs"]
@@ -712,11 +713,13 @@ def test_heavy_term_salted_subpostings(ray_session, tmp_root, force_prune):
 
     a = BM25Index(salted_dir)
     b = BM25Index(unsalted_dir)
-    # merged lookup must reconstruct the identical posting list + metadata
+    # merged lookup must reconstruct the identical posting list; the folded
+    # row's block metadata stays sorted
     pa_, pb_ = a.lookup(["zzzhot"])["zzzhot"], b.lookup(["zzzhot"])["zzzhot"]
     assert pa_[0] == pb_[0] == total_df
     assert np.array_equal(pa_[1], pb_[1]) and np.array_equal(pa_[2], pb_[2])
-    assert np.array_equal(np.sort(pa_[3]), pa_[3])  # block_last still sorted
+    block_last = np.frombuffer(block_last, dtype="<u8")
+    assert np.array_equal(np.sort(block_last), block_last)  # block_last still sorted
     for pruned in (False, True):
         force_prune(pruned)
         for q in ["zzzhot", "zzzhot weather news", "the zzzhot of"]:
@@ -1416,6 +1419,74 @@ def test_path_rule_unforced(stopword_index):
     assert len(idx._run(pos, k)[0]) < len(idx._run(pos)[0])
     assert len(idx._run(neg, k)[0]) == len(idx._run(neg)[0])
     assert idx.search_weighted(list(neg), k) == bm25._topk(*idx._run(neg), k)
+
+
+def test_path_rule_counts_shard_postings(stopword_index):
+    """The rule counts the postings inside the shard's units, not the
+    whole rows: the stopword plan prunes over the whole index, but a
+    quarter range of it stays exact.  A range unit's MaxScore bound holds
+    at every live doc of its slice and reads no doclens outside it."""
+    import numpy as np
+
+    from terrier_ray.index import bm25
+
+    idx = BM25Index(stopword_index)
+    k = 10
+    stop = generate_queries(1, seed=5).column("text")[0].as_py() + " the of and"
+    plan = idx._filtered(stop)
+    post = idx.lookup([t for t, _ in plan])
+    whole = sum(p[0] for p in post.values() if p is not None)
+    units = idx.units(True, 4)
+    assert len(units) == 4
+    assert bm25._prunes(plan, [bm25.Unit(idx)], [post], k)
+    rows = [p for p in post.values() if p is not None]
+    shares = [sum(i1 - i0 for i0, i1 in (bm25._span(u, p[1]) for p in rows)) for u in units]
+    assert sum(shares) == whole
+    assert max(shares) < bm25.PRUNE_MIN_DF
+    assert not any(bm25._prunes(plan, [u], [post], k) for u in units)
+
+    gathered = []
+    real_gather = idx.doclens.gather
+    idx.doclens.gather = lambda d: gathered.append(np.asarray(d)) or real_gather(d)
+    for u in units:
+        for t, p in post.items():
+            b = bm25._bound(u, t, p, idx.avgdl)
+            dids, tfs = bm25._live(u, p[1], p[2])
+            if len(dids):
+                assert b >= bm25._wd(tfs, real_gather(dids), idx.avgdl).max()
+            else:
+                assert b == 0.0
+    assert not gathered  # the range bound uses the range's min doc length
+    all_d, all_v = idx.doclens.docids(), idx.doclens.values()
+    for u in units:
+        assert idx.doclens.min_in(u.lo, u.hi) == all_v[(all_d >= u.lo) & (all_d < u.hi)].min()
+
+
+def test_docid_column_min_in_reads_overlapping_parts(tmp_path):
+    """``DocidColumn.min_in`` over a three-part sidecar equals the brute
+    minimum for ranges inside one part, across parts and open-ended."""
+    import json
+
+    import numpy as np
+
+    from terrier_ray.index.bm25 import _END, DocidColumn
+
+    rng = np.random.default_rng(3)
+    docids = np.sort(rng.choice(1 << 40, size=300, replace=False)).astype(np.int64)
+    vals = rng.integers(1, 500, size=300).astype("<i4")
+    parts = []
+    for i, (a, b) in enumerate([(0, 100), (100, 220), (220, 300)]):
+        f = f"part-{i}.bin"
+        (tmp_path / f).write_bytes(docids[a:b].tobytes() + vals[a:b].tobytes())
+        parts.append({"lo": int(docids[a]), "file": f, "n": b - a})
+    (tmp_path / "meta.json").write_text(json.dumps({"parts": parts}))
+    col = DocidColumn(str(tmp_path), "<i4")
+    cuts = [0, int(docids[0]), int(docids[50]), int(docids[100]), int(docids[150]) + 1,
+            int(docids[220]), int(docids[299]), int(docids[299]) + 1, _END]
+    for lo in cuts:
+        for hi in cuts:
+            sel = vals[(docids >= lo) & (docids < hi)]
+            assert col.min_in(lo, hi) == (sel.min() if len(sel) else None), (lo, hi)
 
 
 def test_numeric_docvalues_match_corpus(built_index):
