@@ -978,7 +978,7 @@ class BM25Index(_Reader):
         self._fuzzy_cache: "OrderedDict[tuple, list]" = OrderedDict()
 
     def _bucket_handle(self, bucket: int):
-        """(ParquetFile, rg_term_mins, rg_term_maxs) for a bucket, LRU-cached.
+        """(ParquetFile, rg_term_mins, rg_term_maxs, names) for a bucket, LRU-cached.
 
         The fences come from the parquet footer's per-row-group statistics
         on the ``term`` column (already parsed when the file opens — no data
@@ -1004,7 +1004,7 @@ class BM25Index(_Reader):
                     break
                 mins.append(st.min)
                 maxs.append(st.max)
-            ent = (pf, mins, maxs)
+            ent = (pf, mins, maxs, frozenset(pf.schema_arrow.names))
         self._pf_cache[bucket] = ent
         while len(self._pf_cache) > self.PF_CACHE_CAP:
             self._pf_cache.popitem(last=False)
@@ -1020,9 +1020,9 @@ class BM25Index(_Reader):
         ent = self._bucket_handle(bucket)
         if ent is None:
             return None
-        pf, mins, maxs = ent
+        pf, mins, maxs, names = ent
         if columns is not None:
-            columns = [c for c in columns if c in pf.schema_arrow.names]
+            columns = [c for c in columns if c in names]
         if mins is None:  # no footer statistics (foreign writer): slow path
             return pq.read_table(
                 os.path.join(self.postings_dir, f"bucket-{bucket:05d}.parquet"),
