@@ -10,8 +10,10 @@ A relational query has one way to run: every name in ``_SQL_FRONTEND`` and
 (``terrier_ray.sql.sql``: parse → lower → rewrite → build).  Hand-built
 pipelines remain only for work whose oracle text the front-end cannot run
 (index, model, stateful and iterative pipelines, and SQL forms it does not
-parse).  Ray is initialised by the caller BEFORE import — nothing here
-calls ray.init.
+parse) or runs more than 2× slower than the hand pipeline;
+``tests/test_sql.py::HAND_BUILT`` lists the oracled keeps whose text plans,
+with the reason for each.  Ray is initialised by the caller BEFORE import —
+nothing here calls ray.init.
 """
 
 from __future__ import annotations
@@ -89,25 +91,30 @@ _SQL_TEXT = [
     "window_ntile", "window_percentiles", "window_first_last",
     "window_dense_rank", "p75_disc_order_value", "sql_window_frames",
     "sql_percentile_within_group",
+    # integer //, date parts, INTERVAL literals, DATEDIFF, windows over
+    # expressions, QUALIFY, simple CASE, VALUES lists, MEDIAN /
+    # QUANTILE_CONT / STRING_AGG, string, regex and JSON builtins
+    "math_functions", "take_until_budget", "date_functions2",
+    "median_order_value", "p90_order_value", "events_watermark",
+    "sessionize", "math_functions3",
+    "window_order_gap_days", "window_moving_spend", "window_running_spend",
+    "string_functions2", "string_functions3", "nations_csv",
+    "mixture_sample_documents", "stratified_sample_documents",
+    "pii_redact", "bpe_token_counts", "token_counts", "json_extract_props",
+    "events_hopping",
 ]
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
     q: dict[str, Callable[[str], Any]] = {}
     q.update(tpch3.QUERIES)
-    q.update(windowq.QUERIES)
     q.update(orderaggq.QUERIES)
     q.update(sampling.QUERIES)
     q.update(extra.QUERIES)
     q.update(analyze.QUERIES)
-    q.update(functions2.QUERIES)
     q.update(decimalq.QUERIES)
-    q.update(functions3.QUERIES)
-    q["token_counts"] = textops.token_counts
     q["term_doc_frequency"] = textops.term_doc_frequency
     q["tfidf_top_terms"] = textops.tfidf_top_terms
-    q["bpe_token_counts"] = textops.bpe_token_counts
-    q["json_extract_props"] = textops.json_extract_props
     q["quality_scores"] = textops.quality_scores
     q["lang_id"] = textops.lang_id
     q["fingerprints"] = textops.fingerprints

@@ -36,13 +36,8 @@ def _tune_data_context() -> None:
     same plan — measured 3.9x map wall-time (102 s vs 26.5 s, identical task
     counts) on a heavy fused map chain feeding a tiny groupby at 4 cpus.
     Every terrier_ray pipeline is a batch job that owns its Ray session, so
-    greedy operator scheduling is strictly better here.  Escape hatch:
-    TERRIER_RAY_KEEP_RESERVATION=1.
+    greedy operator scheduling is strictly better here.
     """
-    import os
-
-    if os.environ.get("TERRIER_RAY_KEEP_RESERVATION") == "1":
-        return
     try:
         from ray.data import DataContext
 

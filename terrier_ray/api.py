@@ -30,14 +30,17 @@ Spec shape::
 EXPR is a tree: ``{"col": name}`` | ``{"lit": value}`` |
 ``{"fn": pyarrow-compute-name, "args": [EXPR, ...]}`` — e.g.
 ``{"fn": "greater", "args": [{"col": "o_totalprice"}, {"lit": 100.0}]}``.
-Only ``pyarrow.compute`` kernels are reachable: the spec stays declarative,
-vectorized, and safe (no eval of user code strings).
+Only ``pyarrow.compute`` kernels and the few SQL builtins in ``_KERNELS``
+are reachable: the spec stays declarative and safe (no eval of user code
+strings).
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Mapping
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -60,7 +63,69 @@ def _lit_value(e: Mapping[str, Any]):
         import datetime as dt
 
         return pa.scalar(dt.datetime.fromisoformat(v), type=pa.timestamp("us"))
+    if e.get("type") == "interval":  # microseconds
+        return pa.scalar(v, type=pa.duration("us"))
     return v
+
+
+def _per_array(fn):
+    """Lift an Array → Array kernel to the EXPR calling convention: a
+    literal first argument gives a scalar back (with_columns broadcasts)."""
+
+    def call(x, *rest):
+        if isinstance(x, (pa.Array, pa.ChunkedArray)):
+            return fn(x, *rest)
+        return fn(pa.array([x]), *rest)[0].as_py()
+
+    return call
+
+
+def _cbrt(x):
+    # np.cbrt, not power(x, 1/3): the power is NaN for negative x
+    x = pc.cast(x, pa.float64())
+    return pa.array(np.cbrt(x.to_numpy(zero_copy_only=False)),
+                    mask=pc.is_null(x).to_numpy(zero_copy_only=False))
+
+
+def _ascii(s):
+    # codepoint of the first character; '' is 0
+    first = pc.utf8_slice_codeunits(s, 0, 1).to_pylist()
+    return pa.array([c if c is None else ord(c) if c else 0 for c in first],
+                    pa.int64())
+
+
+def _chr(n):
+    return pa.array([v if v is None else chr(v) for v in n.to_pylist()],
+                    pa.string())
+
+
+def _json_extract(s, path: str):
+    # '$.a.b' paths; the value comes back as compact JSON text, like
+    # DuckDB's JSON type cast to VARCHAR; a missing key is NULL.  Each
+    # distinct document is parsed once.
+    if not path.startswith("$."):
+        raise ValueError(f"unsupported JSON path {path!r}")
+    keys = path[2:].split(".")
+    if isinstance(s, pa.ChunkedArray):
+        s = s.combine_chunks()
+    enc = pc.dictionary_encode(s)
+    out = []
+    for v in enc.dictionary.to_pylist():
+        x = json.loads(v)
+        for k in keys:
+            x = x.get(k) if isinstance(x, dict) else None
+        out.append(None if x is None else json.dumps(
+            x, separators=(",", ":"), ensure_ascii=False))
+    return pa.array(out, pa.string()).take(enc.indices)
+
+
+#: SQL builtins with no pyarrow.compute kernel, named in EXPR trees like one
+_KERNELS = {
+    name: _per_array(fn) for name, fn in {
+        "cbrt": _cbrt, "ascii": _ascii, "chr": _chr,
+        "json_extract": _json_extract,
+    }.items()
+}
 
 
 def _compile_expr(e: Mapping[str, Any]):
@@ -77,9 +142,9 @@ def _compile_expr(e: Mapping[str, Any]):
         return lambda b: v
     if "fn" in e:
         fn_name = e["fn"]
-        if not hasattr(pc, fn_name):
+        kernel = _KERNELS.get(fn_name) or getattr(pc, fn_name, None)
+        if kernel is None:
             raise ValueError(f"unknown pyarrow.compute kernel {fn_name!r}")
-        kernel = getattr(pc, fn_name)
         arg_fns = [_compile_expr(a) for a in e.get("args", [])]
         opts = dict(e.get("options", {}))
         if "__value_set" in opts:
@@ -266,6 +331,14 @@ def _build_setop(node: Mapping[str, Any], sf_dir: str, ctx=None):
     )
 
 
+def _values_table(v: Mapping[str, Any]) -> pa.Table:
+    """A VALUES list's rows as an Arrow table."""
+    return pa.table({
+        c: pa.array([r[i] for r in v["rows"]], type=pa.type_for_alias(t))
+        for i, (c, t) in enumerate(zip(v["columns"], v["types"]))
+    })
+
+
 def build(spec: Mapping[str, Any], sf_dir: str, _ctx=None):
     """Interpret ``spec`` into a (lazy) ``ray.data.Dataset``.
 
@@ -280,6 +353,10 @@ def build(spec: Mapping[str, Any], sf_dir: str, _ctx=None):
         scan = spec["scan"]
         if "view" in scan:
             ds = _ctx.dataset(scan["view"])
+        elif "values" in scan:
+            import ray.data as rd
+
+            ds = rd.from_arrow(_values_table(scan["values"]))
         else:
             scan_filter = (
                 compile_scan_filter(scan["filter"])
@@ -364,6 +441,10 @@ def build(spec: Mapping[str, Any], sf_dir: str, _ctx=None):
             rops = op["right"].get("ops", [])
             if any(o["op"] != "rename" for o in rops):
                 raise ValueError("cross_join right side must be a bare scan")
+            view = _ctx.views.get(rscan.get("view"), {}).get("scan", {})
+            if "values" in view:
+                ds = cross_join(ds, _values_table(view["values"]))
+                continue
             small = pads.dataset(
                 f"{sf_dir.rstrip('/')}/{rscan['table']}.parquet"
             ).to_table(
@@ -481,7 +562,10 @@ def explain(spec: Mapping[str, Any], indent: str = "") -> str:
             lines.append(f"{indent}{op['op'].capitalize()}")
         return "\n".join(lines)
     scan = spec["scan"]
-    src = scan["table"] if "table" in scan else f"view:{scan['view']}"
+    if "values" in scan:
+        src = f"values rows={len(scan['values']['rows'])}"
+    else:
+        src = scan["table"] if "table" in scan else f"view:{scan['view']}"
     lines.append(f"{indent}Scan {src} cols={scan.get('columns') or '*'}")
     for op in spec.get("ops", []):
         kind = op["op"]

@@ -20,11 +20,7 @@ from terrier_ray.ops.relational import (  # noqa: F401
     unpivot,
     round_columns,
 )
-from terrier_ray.ops.orderagg import (  # noqa: F401
-    grouped_quantile,
-    grouped_quantile_disc,
-    grouped_string_agg,
-)
+from terrier_ray.ops.orderagg import grouped_quantiles  # noqa: F401
 from terrier_ray.ops.rangejoin import range_join  # noqa: F401
 from terrier_ray.ops.sample import bernoulli_sample  # noqa: F401
 from terrier_ray.ops.sketch import (  # noqa: F401

@@ -39,118 +39,29 @@ def _tagged(ds, keys: Sequence[str], num_partitions: int):
     return ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def grouped_quantile(
-    ds,
-    keys: Sequence[str],
-    col: str,
-    q: float,
-    alias: str,
-    num_partitions: int = 32,
-):
-    """Exact PERCENTILE_CONT(q) of ``col`` per ``keys`` group (q=0.5 = MEDIAN).
-
-    Interpolation mirrors DuckDB quantile_cont bit-for-bit:
-    ``pos = q*(n-1); lo = floor(pos); frac = pos-lo;
-    val = v[lo]*(1-frac) + v[lo+1]*frac`` evaluated in float64.  NOTE the
-    exact expression matters at the ulp level: ``v[lo] + (v[lo+1]-v[lo])*frac``
-    (numpy's t<0.5 lerp) differs in the last bit for large magnitudes and
-    fails an exact value-hash.  Feed an integer-scaled column so the inputs
-    themselves are engine-independent.
-    """
-    keys = list(keys)
-
-    def per_bucket(group: pa.Table) -> pa.Table:
-        t = group.drop_columns(["__qbucket"]).sort_by(
-            [(k, "ascending") for k in keys] + [(col, "ascending")]
-        )
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    **{k: t.column(k) for k in keys},
-                    alias: pa.array([], type=pa.float64()),
-                }
-            )
-        starts = _change_mask(t, keys)
-        start_idx = np.flatnonzero(starts)
-        counts = np.diff(np.append(start_idx, n))
-        v = pc.cast(t.column(col).combine_chunks(), pa.float64()).to_numpy(
-            zero_copy_only=False
-        )
-        pos = q * (counts - 1).astype(np.float64)
-        lo = np.floor(pos).astype(np.int64)
-        frac = pos - lo
-        lo_idx = start_idx + lo
-        hi_idx = np.minimum(lo_idx + 1, start_idx + counts - 1)
-        vals = v[lo_idx] * (1.0 - frac) + v[hi_idx] * frac
-        head = t.take(pa.array(start_idx)).select(keys)
-        return head.append_column(alias, pa.array(vals, type=pa.float64()))
-
-    return (
-        _tagged(ds, keys, num_partitions)
-        .groupby("__qbucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
-
-
-def grouped_quantile_disc(
-    ds,
-    keys: Sequence[str],
-    col: str,
-    q: float,
-    alias: str,
-    num_partitions: int = 32,
-):
-    """Exact PERCENTILE_DISC(q): the SMALLEST group value whose cumulative
-    ordered position covers q — an actual element of the group, never
-    interpolated (SQL spec / DuckDB quantile_disc: element at
-    ``ceil(q*n) - 1`` of the ascending sort, 0-indexed, for q>0; the first
-    element for q=0).  Same one-bucket-shuffle shape as grouped_quantile;
-    the output column keeps the INPUT type (no float cast — disc returns a
-    member, so value-hash matching needs no scaling recipe)."""
-    keys = list(keys)
-
-    def per_bucket(group: pa.Table) -> pa.Table:
-        t = group.drop_columns(["__qbucket"]).sort_by(
-            [(k, "ascending") for k in keys] + [(col, "ascending")]
-        )
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    **{k: t.column(k) for k in keys},
-                    alias: pa.array([], type=t.schema.field(col).type),
-                }
-            )
-        starts = _change_mask(t, keys)
-        start_idx = np.flatnonzero(starts)
-        counts = np.diff(np.append(start_idx, n))
-        off = np.ceil(q * counts.astype(np.float64)).astype(np.int64) - 1
-        off = np.clip(off, 0, counts - 1)
-        vals = t.column(col).combine_chunks().take(pa.array(start_idx + off))
-        head = t.take(pa.array(start_idx)).select(keys)
-        return head.append_column(alias, vals)
-
-    return (
-        _tagged(ds, keys, num_partitions)
-        .groupby("__qbucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
-
-
 def grouped_quantiles(
     ds,
     keys: Sequence[str],
     specs: "Sequence[tuple[str, str, float, str]]",
     num_partitions: int = 32,
 ):
-    """Several exact percentiles in ONE bucket shuffle: ``specs`` is
-    (func, col, q, alias) with func percentile_cont | percentile_disc.
-    Semantics per spec are exactly grouped_quantile / grouped_quantile_disc
-    (cont: DuckDB-identical float64 interpolation; disc: group member at
-    ceil(q*n)-1, input type preserved).  The SQL WITHIN-GROUP lowering
-    lands here so a SELECT with multiple percentile aggregates still costs
-    one exchange."""
+    """Several exact order-statistics aggregates in ONE bucket shuffle:
+    ``specs`` is (func, col, q, alias) per aggregate.  The SQL ordered-set
+    aggregates lower here, so a SELECT with several of them still costs one
+    exchange.
+
+    - ``percentile_cont`` (MEDIAN is q=0.5) interpolates DuckDB's
+      quantile_cont bit for bit: ``pos = q*(n-1); lo = floor(pos);
+      frac = pos-lo; val = v[lo]*(1-frac) + v[lo+1]*frac`` in float64.
+      The exact expression matters at the ulp level:
+      ``v[lo] + (v[lo+1]-v[lo])*frac`` (numpy's t<0.5 lerp) differs in the
+      last bit for large magnitudes.  Feed an integer-scaled column so the
+      inputs themselves are engine-independent.
+    - ``percentile_disc`` is the SMALLEST group value whose cumulative
+      ordered position covers q — the element at ``ceil(q*n) - 1`` of the
+      ascending sort (the first for q=0), input type preserved.
+    - ``string_agg`` joins the group's non-NULL ``col`` values in ascending
+      order with the separator ``q`` (NULL when there are none)."""
     keys = list(keys)
     specs = [tuple(s) for s in specs]
 
@@ -159,11 +70,9 @@ def grouped_quantiles(
         if g.num_rows == 0:
             cols = {k: g.column(k) for k in keys}
             for func, col, _q, alias in specs:
-                typ = (
-                    pa.float64()
-                    if func == "percentile_cont"
-                    else g.schema.field(col).type
-                )
+                typ = {"percentile_cont": pa.float64(),
+                       "string_agg": pa.string()}.get(
+                    func, g.schema.field(col).type)
                 cols[alias] = pa.array([], type=typ)
             return pa.table(cols)
         out_cols: dict = {}
@@ -189,6 +98,16 @@ def grouped_quantiles(
                 out_cols[alias] = pa.array(
                     v[lo_idx] * (1.0 - frac) + v[hi_idx] * frac, type=pa.float64()
                 )
+            elif func == "string_agg":  # q is the separator; NULLs skipped
+                vals = t.column(col).combine_chunks()
+                valid = vals.is_valid().to_numpy(zero_copy_only=False)
+                n_valid = np.add.reduceat(valid.astype(np.int64), start_idx)
+                offsets = np.concatenate(([0], np.cumsum(n_valid)))
+                lists = pa.ListArray.from_arrays(
+                    pa.array(offsets, pa.int32()), vals.filter(pa.array(valid)),
+                    mask=pa.array(n_valid == 0),
+                )
+                out_cols[alias] = pc.binary_join(lists, q)
             else:  # percentile_disc
                 off = np.ceil(q * counts.astype(np.float64)).astype(np.int64) - 1
                 off = np.clip(off, 0, counts - 1)

@@ -214,22 +214,21 @@ def partitioned_join(
     right_on: Sequence[str] | None = None,
     join_type: str = "inner",
     num_partitions: int = 16,
-    strategy: str = "cogroup",
     post_fn: Callable[[pa.Table], pa.Table] | None = None,
 ):
     """Both-sides-large hash-shuffle join.
 
-    strategy="native" uses Ray ``Dataset.join`` (hash shuffle); in Ray 2.49 it
-    raises ArrowInvalid when a shuffle partition receives zero rows from one
-    side (schema-less empty block), which small/filtered inputs hit easily —
-    so the default is "cogroup": pad both sides to a common schema with a side
-    tag, union, ``groupby(bucket)`` (bucket = stable hash of key), and run an
-    Acero hash join per bucket.  Same shuffle shape, robust to sparsity; at
-    scale ``num_partitions`` bounds per-bucket memory.
+    Ray's ``Dataset.join`` (hash shuffle) raises ArrowInvalid on Ray 2.49
+    when a shuffle partition receives zero rows from one side (schema-less
+    empty block), which small/filtered inputs hit easily — so this is a
+    cogroup: pad both sides to a common schema with a side tag, union,
+    ``groupby(bucket)`` (bucket = stable hash of key), and run an Acero hash
+    join per bucket.  Same shuffle shape, robust to sparsity; at scale
+    ``num_partitions`` bounds per-bucket memory.
     join_type: inner | left_semi | left_anti | left_outer | right_outer |
     full_outer.
 
-    ``post_fn`` (cogroup only) runs INSIDE each bucket task on that bucket's
+    ``post_fn`` runs INSIDE each bucket task on that bucket's
     join output — the join-aggregation fusion hook: when a downstream
     GROUP BY's keys are functionally dependent on the join key (every key
     row lives in exactly one bucket), a per-bucket Arrow group_by here is
@@ -237,14 +236,6 @@ def partitioned_join(
     """
     rkeys = list(right_on) if right_on else list(on)
     lkeys = list(on)
-    if strategy == "native":
-        return left.join(
-            right,
-            join_type=join_type,
-            num_partitions=num_partitions,
-            on=tuple(lkeys),
-            right_on=tuple(rkeys),
-        )
 
     lschema = left.schema()
     rschema = right.schema()
@@ -342,7 +333,7 @@ def _multi_key_bucket(batch: pa.Table, keys: Sequence[str], num_buckets: int) ->
 # aggregation
 # ---------------------------------------------------------------------------
 
-#: supported spec ops → (arrow partial agg, ray final agg kind)
+#: supported spec ops → (arrow partial agg, bucket merge agg)
 _AGG_PLAN = {
     "sum": ("sum", "sum"),
     "count": ("count", "sum"),
@@ -356,7 +347,6 @@ def grouped_aggregate(
     ds,
     keys: Sequence[str],
     specs: Sequence[tuple[str, str, str]],
-    shuffle: str = "bucket",
     num_partitions: int = 32,
 ):
     """GROUP BY with map-side partial aggregation.
@@ -369,12 +359,11 @@ def grouped_aggregate(
     distinct key per batch.  Stage 2 (shuffle): merge the partials.
     Stage 3 (map): finalize means, rename.
 
-    shuffle="bucket" (default) shuffles partials on ``hash(keys) %
-    num_partitions`` (one small-int key) and re-aggregates each bucket with
-    one vectorized Arrow group_by: Ray's sort-shuffle ``groupby().aggregate``
-    cost grows with key CARDINALITY (measured ~0.16 s at 100 distinct keys →
-    ~1 s at 10k, regardless of row count), so high-NDV groupings pay dearly
-    on the "ray" path.  shuffle="ray" keeps the native path.
+    The shuffle moves partials on ``hash(keys) % num_partitions`` (one
+    small-int key) and re-aggregates each bucket with one vectorized Arrow
+    group_by: Ray's sort-shuffle ``groupby().aggregate`` cost grows with key
+    CARDINALITY (measured ~0.16 s at 100 distinct keys → ~1 s at 10k,
+    regardless of row count), so high-NDV groupings would pay dearly on it.
 
     KNOWN LIMIT (Ray 2.49): a zero-row input yields a schema-LESS empty
     result — the sort-shuffle drops even typed empty blocks, and Ray's
@@ -382,12 +371,10 @@ def grouped_aggregate(
     reliably to synthesize a seed schema.  Oracled queries must therefore
     keep predicates selective-but-nonempty at every test SF.
     """
-    from ray.data.aggregate import Max, Min, Sum
-
     keys = list(keys)
     # rewrite means → sum + count partials
     plan: list[tuple[str, str, str]] = []  # (arrow_op, col, partial_name)
-    finals: list[tuple[str, str, str]] = []  # (kind, partial_name, alias)
+    finals: list[tuple[str, str, str]] = []  # (merge_op, partial_name, alias)
     mean_fixups: list[tuple[str, str, str]] = []  # (alias, sum_name, cnt_name)
     for op, col, alias in specs:
         if op == "mean":
@@ -396,10 +383,10 @@ def grouped_aggregate(
             finals += [("sum", s_name, s_name), ("sum", c_name, c_name)]
             mean_fixups.append((alias, s_name, c_name))
         else:
-            arrow_op, ray_kind = _AGG_PLAN[op]
+            arrow_op, merge_op = _AGG_PLAN[op]
             pname = f"__p_{alias}"
             plan.append((arrow_op, col, pname))
-            finals.append((ray_kind, pname, alias))
+            finals.append((merge_op, pname, alias))
 
     def partial(batch: pa.Table) -> pa.Table:
         gb = batch.group_by(keys)
@@ -439,45 +426,27 @@ def grouped_aggregate(
         drop = [n for _, s, c in mean_fixups for n in (s, c)]
         return batch.drop_columns(drop)
 
-    if shuffle == "bucket":
-
-        def tag(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "__gbucket",
-                pa.array(_multi_key_bucket(batch, keys, num_partitions)),
-            )
-
-        refold = {"sum": "sum", "min": "min", "max": "max"}
-
-        def merge_bucket(group: pa.Table) -> pa.Table:
-            gb = group.drop_columns(["__gbucket"]).group_by(keys)
-            merged = gb.aggregate(
-                [(pname, refold[kind]) for kind, pname, _a in finals]
-            )
-            rename = {
-                f"{pname}_{refold[kind]}": alias for kind, pname, alias in finals
-            }
-            merged = merged.rename_columns(
-                [rename.get(n, n) for n in merged.column_names]
-            )
-            return fix_means(merged) if mean_fixups else merged
-
-        tagged = partials.map_batches(
-            tag, batch_format="pyarrow", zero_copy_batch=True
-        )
-        return tagged.groupby("__gbucket").map_groups(
-            merge_bucket, batch_format="pyarrow"
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "__gbucket",
+            pa.array(_multi_key_bucket(batch, keys, num_partitions)),
         )
 
-    ray_aggs = []
-    for kind, pname, alias in finals:
-        cls = {"sum": Sum, "min": Min, "max": Max}[kind]
-        ray_aggs.append(cls(pname, alias_name=alias))
-    out = partials.groupby(keys).aggregate(*ray_aggs)
+    def merge_bucket(group: pa.Table) -> pa.Table:
+        gb = group.drop_columns(["__gbucket"]).group_by(keys)
+        merged = gb.aggregate([(pname, op) for op, pname, _a in finals])
+        rename = {f"{pname}_{op}": alias for op, pname, alias in finals}
+        merged = merged.rename_columns(
+            [rename.get(n, n) for n in merged.column_names]
+        )
+        return fix_means(merged) if mean_fixups else merged
 
-    if mean_fixups:
-        out = out.map_batches(fix_means, batch_format="pyarrow", zero_copy_batch=True)
-    return out
+    tagged = partials.map_batches(
+        tag, batch_format="pyarrow", zero_copy_batch=True
+    )
+    return tagged.groupby("__gbucket").map_groups(
+        merge_bucket, batch_format="pyarrow"
+    )
 
 
 def grouping_sets_aggregate(

@@ -47,67 +47,3 @@ def bernoulli_sample(ds, key_col: str, permil: int):
     return filter_batches(
         ds, lambda b: pc.less(_rank(b.column(key_col), 1000), permil)
     )
-
-
-def mixture_sample(
-    ds,
-    source_col: str,
-    key_col: str,
-    rates_permil: dict[str, int],
-    default_permil: int = 0,
-):
-    """Data mixing: per-source deterministic Bernoulli rates (the
-    pretraining mixture op — upsample/downsample each source toward a
-    target composition; rates > 1000 are clamped to keep-all).
-
-    Every row's fate is ``rank(key) < rate(source)`` with the same
-    hash-rank as bernoulli_sample, so the SQL mirror is the identical
-    arithmetic with a CASE over the source column.  The rate lookup is
-    resolved once per distinct source per batch (np.unique inverse), not
-    per row."""
-
-    def mask(b: pa.Table) -> pa.Array:
-        import numpy as np
-
-        r = _rank(b.column(key_col), 1000).to_numpy(zero_copy_only=False)
-        src = b.column(source_col)
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        sv = np.asarray(src.to_pylist(), dtype=object)
-        uniq, inv = np.unique(sv, return_inverse=True)
-        per_uniq = np.array(
-            [min(int(rates_permil.get(s, default_permil)), 1000) for s in uniq],
-            dtype=np.int64,
-        )
-        return pa.array(r < per_uniq[inv])
-
-    return filter_batches(ds, mask)
-
-
-def stratified_sample(ds, group_col: str, key_col: str, n_per_group: int):
-    """Exact-n-per-stratum deterministic sample: within each group keep the
-    ``n_per_group`` rows with the smallest hash rank (grouped_topk's
-    map-side prune keeps the exchange at O(n · groups · batches)).
-
-    The sort key is rank·2^31 + key%2^31 — unique for keys < 2^31, so the
-    result is fully deterministic and the SQL mirror is
-    ``QUALIFY row_number() OVER (PARTITION BY group ORDER BY <same
-    arithmetic>) <= n``."""
-    from terrier_ray.ops.relational import grouped_topk
-
-    big = 1_000_000_007
-    half = 1 << 31
-
-    def tag(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        r = _rank(b.column(key_col), big).to_numpy(zero_copy_only=False)
-        k = pc.cast(b.column(key_col), pa.int64()).to_numpy(zero_copy_only=False)
-        return b.append_column("__srank", pa.array(r * half + (k % half)))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-    out = grouped_topk(
-        tagged, [group_col], "__srank", n_per_group,
-        descending=False, num_partitions=8,
-    )
-    return out.drop_columns(["__srank"])

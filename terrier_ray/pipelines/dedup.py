@@ -759,8 +759,7 @@ def segment_dedup(sf_dir: str, width: int = 5, num_partitions: int = 32):
         """Doc rows → (doc_id, seg_no, seg, n_words) segment rows, fully
         vectorized: Arrow split → flat words + parent indices → seg_no by
         offset math → ONE group_by('list') + binary_join per batch (Arrow
-        group_by preserves within-group encounter order for 'list', the
-        grouped_string_agg contract)."""
+        group_by preserves within-group encounter order for 'list')."""
         batch = batch.combine_chunks()
         words = pc.split_pattern(batch.column("text"), " ")
         if isinstance(words, pa.ChunkedArray):

@@ -1,10 +1,9 @@
 """Additional operator-parity queries: math scalar functions, stream-shaped
 windows over the events table (sessionize, hopping, watermark, funnel, as-of),
-range join, UNPIVOT and a keyed point lookup.  Their oracle texts use forms
-the SQL front-end does not parse, except ``customer_point_lookup``, whose
-point is the access path (zone-map point lookup over a clustered layout)
-rather than the query; the cast, IN/BETWEEN, cross-join, histogram, pivot
-and variance queries run their oracle text through ``sql.sql``.
+range join, UNPIVOT and a keyed point lookup.  The funnel, as-of, range-join
+and UNPIVOT queries and ``customer_point_lookup`` (whose point is the access
+path: a zone-map point lookup over a clustered layout) run hand-built; every
+other query here runs its oracle text through ``sql.sql``.
 
 Reference analogs: math/trig builtins
 (/root/reference/src/include/execution/ast/builtins.h:286-310,
@@ -23,87 +22,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from terrier_ray.ops.relational import (
-    global_aggregate,
     filter_batches,
     grouped_aggregate,
     read_table,
-    rescale_round,
     scaled_int,
     with_columns,
 )
-
-
-def math_functions(sf_dir: str):
-    """sqrt/ln/abs/mod/power over part prices (pc kernels, 1:1 with SQL)."""
-    part = read_table(
-        sf_dir, "part", columns=["p_partkey", "p_retailprice", "p_size"]
-    )
-    return with_columns(
-        part,
-        {
-            "price_sqrt": lambda b: rescale_round(
-                pc.sqrt(b.column("p_retailprice")), 6
-            ),
-            "price_ln": lambda b: rescale_round(pc.ln(b.column("p_retailprice")), 6),
-            "size_dev": lambda b: pc.cast(
-                pc.abs(pc.subtract(b.column("p_size"), 20)), pa.int64()
-            ),
-            "size_mod": lambda b: pc.cast(
-                # arrow has no mod kernel: a - (a//b)*b (positive operands)
-                pc.subtract(
-                    b.column("p_size"),
-                    pc.multiply(
-                        pc.divide(b.column("p_size"), 7), 7
-                    ),
-                ),
-                pa.int64(),
-            ),
-            "size_sq": lambda b: pc.cast(
-                pc.multiply(b.column("p_size"), b.column("p_size")), pa.float64()
-            ),
-        },
-    ).select_columns(
-        ["p_partkey", "price_sqrt", "price_ln", "size_dev", "size_mod", "size_sq"]
-    )
-
-
-SESSION_GAP_US = 30 * 60 * 1_000_000  # 30 minutes
-
-
-def sessionize(sf_dir: str):
-    """Per-user session counts: events = user-partitioned ordered log; the
-    session window is computed vectorized over each user's sorted timestamps
-    inside ``groupby(user_bucket).map_groups`` (ordering contract: sort by
-    (user_id, ts, event_id) within partition; stated per SURVEY.md §2.6)."""
-    ev = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id"])
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy(zero_copy_only=False)
-        return b.append_column("ubucket", pa.array((u % 16).astype(np.int32)))
-
-    ev = ev.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-
-    def sessions(group: pa.Table) -> pa.Table:
-        u = group.column("user_id").to_numpy(zero_copy_only=False)
-        ts = group.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, u))
-        u, ts = u[order], ts[order]
-        new_user = np.concatenate(([True], u[1:] != u[:-1]))
-        gap = np.concatenate(([0], ts[1:] - ts[:-1]))
-        new_session = new_user | (gap > SESSION_GAP_US)
-        uniq, idx = np.unique(u, return_index=True)
-        n_events = np.diff(np.concatenate((idx, [len(u)])))
-        n_sessions = np.add.reduceat(new_session.astype(np.int64), idx)
-        return pa.table(
-            {
-                "user_id": pa.array(uniq),
-                "n_events": pa.array(n_events.astype(np.int64)),
-                "n_sessions": pa.array(n_sessions),
-            }
-        )
-
-    return ev.groupby("ubucket").map_groups(sessions, batch_format="pyarrow")
 
 
 def asof_purchase_view(sf_dir: str):
@@ -155,53 +79,6 @@ def asof_purchase_view(sf_dir: str):
         )
 
     return ev.groupby("ub").map_groups(asof, batch_format="pandas")
-
-
-_HOP_US = 30 * 60 * 1_000_000  # hop 30 min; window width = 2 hops = 1 h
-
-
-def events_hopping(sf_dir: str):
-    """Hopping (sliding) window aggregate: 1-hour windows every 30 minutes.
-    Each event belongs to 2 windows → a per-batch flat-map duplicates rows
-    with their window_start, then one grouped aggregate.  Integer-µs window
-    math (``us // hop * hop``) mirrored exactly in the SQL oracle via
-    ``make_timestamp(epoch_us(ts) // hop * hop)``."""
-    from terrier_ray.ops.relational import scaled_int
-
-    ev = read_table(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def assign(batch: pa.Table) -> pa.Table:
-        us = pc.cast(batch.column("ts"), pa.int64())
-        w0 = pc.multiply(pc.divide(us, _HOP_US), _HOP_US)  # int division
-        w1 = pc.subtract(w0, _HOP_US)
-        et = batch.column("event_type")
-        vc = scaled_int(batch.column("value"), 100)
-        arms = [
-            pa.table(
-                {
-                    "event_type": et,
-                    "window_start": pc.cast(w, pa.timestamp("us")),
-                    "value_c": vc,
-                }
-            )
-            for w in (w0, w1)
-        ]
-        return pa.concat_tables(arms)
-
-    out = grouped_aggregate(
-        ev.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True),
-        ["event_type", "window_start"],
-        [("count", "value_c", "n"), ("sum", "value_c", "total_value")],
-    )
-
-    def unscale_total(b: pa.Table) -> pa.Table:
-        return b.set_column(
-            b.column_names.index("total_value"),
-            "total_value",
-            pc.divide(pc.cast(b.column("total_value"), pa.float64()), 100.0),
-        )
-
-    return out.map_batches(unscale_total, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def funnel_click_purchase(sf_dir: str, window_us: int = 3_600_000_000):
@@ -257,39 +134,6 @@ def funnel_click_purchase(sf_dir: str, window_us: int = 3_600_000_000):
         for b in parts.iter_batches(batch_size=None, batch_format="pyarrow")
     )
     return pa.table({"n_users": pa.array([int(total)], type=pa.int64())})
-
-
-def events_watermark(sf_dir: str):
-    """Watermark semantics over the events stream (the reference has no
-    streaming constructs at all — SURVEY.md §2.6): watermark = MAX(ts) − 1h
-    (one tiny global aggregate, the scalar-subquery shape); each tumbling
-    hour window is flagged final iff window_end <= watermark — the
-    batch-engine rendering of on-time/late window closing."""
-    import datetime as dt
-
-    ev = read_table(sf_dir, "events", columns=["event_id", "ts"])
-    mx = global_aggregate(ev, [("max", "ts", "mx")]).column("mx")[0].as_py()
-    watermark = mx - dt.timedelta(hours=1)
-    ev = with_columns(
-        ev, {"hour_ts": lambda b: pc.floor_temporal(b.column("ts"), unit="hour")}
-    )
-    agg = grouped_aggregate(ev, ["hour_ts"], [("count", "event_id", "n_events")])
-
-    def finish(b: pa.Table) -> pa.Table:
-        end = pc.add(
-            b.column("hour_ts"), pa.scalar(3_600_000_000, type=pa.duration("us"))
-        )
-        return pa.table(
-            {
-                "hour_ts": b.column("hour_ts"),
-                "n_events": b.column("n_events"),
-                "is_final": pc.less_equal(
-                    end, pa.scalar(watermark, type=pa.timestamp("us"))
-                ),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _sliding_windows():
@@ -439,11 +283,7 @@ QUERIES = {
     "range_join_order_windows": range_join_order_windows,
     "unpivot_nation_counts": unpivot_nation_counts,
     "funnel_click_purchase": funnel_click_purchase,
-    "events_watermark": events_watermark,
-    "events_hopping": events_hopping,
     "asof_purchase_view": asof_purchase_view,
-    "math_functions": math_functions,
-    "sessionize": sessionize,
 }
 
 SQL = {

@@ -4,8 +4,8 @@ string_functions.h:17-115 ascii/chr/rpad/ltrim/rtrim/right;
 date_time_functions.h:10-110 second/millisecond/microseconds;
 ast/builtins.h:286-310 cot/truncate/log2/cbrt/asin/acos).
 
-Same contracts as functions2.py: pyarrow.compute (numpy only where Arrow
-lacks the kernel), DuckDB-oracled with identical column names; libm-backed
+Same contracts as functions2.py: every query runs its oracle text through
+``sql.sql``, DuckDB-oracled with identical column names; libm-backed
 outputs pinned with the integer-scaling round.  DuckDB date-part semantics
 are Postgres-style composites (MILLISECOND = s*1000+ms) — mirrored exactly.
 initcap and hyperbolics are omitted: DuckDB has no INITCAP/SINH to oracle
@@ -13,89 +13,6 @@ against (arrow's utf8_title covers the initcap use case).
 """
 
 from __future__ import annotations
-
-import numpy as np
-import pyarrow as pa
-import pyarrow.compute as pc
-
-from terrier_ray.ops.relational import read_table, rescale_round, with_columns
-
-_LETTERS = np.array([chr(i) for i in range(65, 91)], dtype=object)
-
-
-def _first_codepoint(col: pa.ChunkedArray) -> pa.Array:
-    """ASCII(s): codepoint of the first character.  ord() runs only on the
-    (tiny) set of distinct first characters; rows stay vectorized."""
-    one = pc.utf8_slice_codeunits(col, 0, 1)
-    vals = np.asarray(one.to_pylist(), dtype=object)
-    uniq, inverse = np.unique(vals, return_inverse=True)
-    codes = np.array([ord(u) if u else 0 for u in uniq], dtype=np.int64)
-    return pa.array(codes[inverse])
-
-
-def string_functions3(sf_dir: str):
-    """ascii/chr/rpad/ltrim(chars)/rtrim(chars)/right."""
-    part = read_table(sf_dir, "part", columns=["p_partkey", "p_name"])
-    return with_columns(
-        part,
-        {
-            "ascii_name": lambda b: _first_codepoint(b.column("p_name")),
-            "chr_key": lambda b: pa.array(
-                _LETTERS[
-                    pc.cast(b.column("p_partkey"), pa.int64()).to_numpy(
-                        zero_copy_only=False
-                    )
-                    % 26
-                ]
-            ),
-            "name_rpad": lambda b: pc.utf8_rpad(b.column("p_name"), 15, "*"),
-            "name_ltrim": lambda b: pc.utf8_ltrim(b.column("p_name"), "pat"),
-            "name_rtrim": lambda b: pc.utf8_rtrim(b.column("p_name"), "0123456789"),
-            "name_right3": lambda b: pc.utf8_slice_codeunits(
-                b.column("p_name"), start=-3
-            ),
-        },
-    ).select_columns(
-        [
-            "p_partkey",
-            "ascii_name",
-            "chr_key",
-            "name_rpad",
-            "name_ltrim",
-            "name_rtrim",
-            "name_right3",
-        ]
-    )
-
-
-def math_functions3(sf_dir: str):
-    """cot / trunc / log2 / cbrt / asin / acos (libm outputs pinned)."""
-    line = read_table(
-        sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber", "l_discount", "l_tax"]
-    )
-    return with_columns(
-        line,
-        {
-            # COT(x) == 1/tan(x) in DuckDB (verified bit-identical pre-pin)
-            "ct": lambda b: rescale_round(
-                pc.divide(1.0, pc.tan(pc.add(b.column("l_discount"), 0.5))), 9
-            ),
-            "tr": lambda b: pc.trunc(pc.multiply(b.column("l_tax"), 100.0)),
-            "l2": lambda b: rescale_round(
-                pc.log2(pc.add(b.column("l_discount"), 1.0)), 9
-            ),
-            "cb": lambda b: rescale_round(
-                pa.array(
-                    np.cbrt(
-                        pc.add(b.column("l_tax"), 1.0).to_numpy(zero_copy_only=False)
-                    )
-                ),
-                9,
-            ),
-            "asn": lambda b: rescale_round(pc.asin(b.column("l_discount")), 9),
-            "acs": lambda b: rescale_round(pc.acos(b.column("l_discount")), 9),
-        },
-    ).select_columns(["l_orderkey", "l_linenumber", "ct", "tr", "l2", "cb", "asn", "acs"])
 
 
 SQL = {
@@ -126,9 +43,4 @@ SQL = {
                CAST(ROUND(ACOS(l_discount) * 1e9, 0) AS BIGINT) / 1e9 AS acs
         FROM lineitem
     """,
-}
-
-QUERIES = {
-    "string_functions3": string_functions3,
-    "math_functions3": math_functions3,
 }

@@ -5,7 +5,9 @@ these extend SURVEY §2's LLM-pipeline tier the same way dedup/curate do):
 
 - benchmark decontamination, exact substring probes (SQL-oracled) and
   word-n-gram hash overlap (rows-only + unit-tested oracle),
-- PII / pattern redaction (vectorized RE2, SQL-oracled vs DuckDB's RE2),
+- PII / pattern redaction (vectorized RE2; the oracled ``pii_redact``
+  query runs its SQL through ``sql.sql``, and ``redact_batch`` serves the
+  curation funnel),
 - Gopher-style per-document repetition statistics (SQL-oracled),
 - corpus-wide top-k word bigrams (SQL-oracled).
 
@@ -186,22 +188,6 @@ def redact_batch(
     return out, counts
 
 
-def pii_redact(sf_dir: str):
-    """PII / pattern redaction over the events ``props`` payloads:
-    email → <EMAIL>, IPv4 → <IP>, digit runs (incl. phone-like
-    digit-dash runs) → <NUM>.  One RE2 pass per pattern per batch, no
-    Python row loop."""
-    ev = read_table(sf_dir, "events", columns=["event_id", "props"])
-
-    def fix(batch: pa.Table) -> pa.Table:
-        red, counts = redact_batch(batch.column("props"))
-        cols = {"event_id": batch.column("event_id"), "props_redacted": red}
-        cols.update(counts)
-        return pa.table(cols)
-
-    return ev.map_batches(fix, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def repetition_stats(sf_dir: str):
     """Gopher-style per-document repetition statistics: total words,
     distinct words, and the top single word's occurrence count (all ints —
@@ -327,7 +313,6 @@ QUERIES = {
     "decontaminate": decontaminate,
     "chunk_documents": chunk_documents,
     "decontaminate_ngram": decontaminate_ngram,
-    "pii_redact": pii_redact,
     "repetition_stats": repetition_stats,
     "top_bigrams": top_bigrams,
 }

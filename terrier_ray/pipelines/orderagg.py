@@ -1,64 +1,9 @@
 """Order-statistics aggregate queries (DuckDB-oracled): exact grouped
-median / percentile and ordered STRING_AGG, via ``ops.orderagg``.  The
-MEDIAN / QUANTILE_CONT / ordered STRING_AGG oracle texts do not parse in
-the SQL front-end; PERCENTILE_DISC and DENSE_RANK run through ``sql.sql``."""
+median / percentile and ordered STRING_AGG.  Each oracle text runs through
+``sql.sql``, whose ordered-set aggregates lower onto
+``ops.orderagg.grouped_quantiles``; the t-digest estimate is hand-built."""
 
 from __future__ import annotations
-
-import pyarrow as pa
-import pyarrow.compute as pc
-
-from terrier_ray.ops.orderagg import grouped_quantile, grouped_string_agg
-from terrier_ray.ops.relational import read_table, scaled_int, with_columns
-
-
-def _orders_cents(sf_dir: str):
-    orders = read_table(sf_dir, "orders", columns=["o_orderpriority", "o_totalprice"])
-    return with_columns(
-        orders, {"tp_c": lambda b: scaled_int(b.column("o_totalprice"), 100)}
-    )
-
-
-def median_order_value(sf_dir: str):
-    """Exact MEDIAN(o_totalprice) per priority (integer-cents inputs)."""
-    w = grouped_quantile(
-        _orders_cents(sf_dir), ["o_orderpriority"], "tp_c", 0.5, "median_c"
-    )
-    return w.map_batches(
-        lambda b: pa.table(
-            {
-                "o_orderpriority": b.column("o_orderpriority"),
-                "median_price": pc.divide(b.column("median_c"), 100.0),
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
-def p90_order_value(sf_dir: str):
-    """Exact PERCENTILE_CONT(0.9) per priority — interpolated position."""
-    w = grouped_quantile(
-        _orders_cents(sf_dir), ["o_orderpriority"], "tp_c", 0.9, "p90_c"
-    )
-    return w.map_batches(
-        lambda b: pa.table(
-            {
-                "o_orderpriority": b.column("o_orderpriority"),
-                "p90_price": pc.divide(b.column("p90_c"), 100.0),
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
-def nations_csv(sf_dir: str):
-    """STRING_AGG(n_name, ',' ORDER BY n_name) per region."""
-    nation = read_table(sf_dir, "nation", columns=["n_regionkey", "n_name"])
-    return grouped_string_agg(
-        nation, ["n_regionkey"], "n_name", ",", "names", num_partitions=4
-    )
 
 
 def approx_percentiles_order_value(sf_dir: str):
@@ -121,8 +66,5 @@ SQL = {
 }
 
 QUERIES = {
-    "median_order_value": median_order_value,
-    "p90_order_value": p90_order_value,
-    "nations_csv": nations_csv,
     "approx_percentiles_order_value": approx_percentiles_order_value,
 }

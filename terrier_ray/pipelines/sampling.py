@@ -1,38 +1,14 @@
 """Sampling query suite (DuckDB-oracled where expressible).
 
-Deterministic per-source mixture, stratified and budget-packing samples
-(`ops/sample.py`, `ops/packing.py`); each SQL oracle runs the identical
-modular-hash arithmetic.  The Bernoulli, fixed-n and bloom semi-join
-queries run their oracle text through ``sql.sql``.
+Deterministic per-source mixture, stratified and budget-packing samples;
+each SQL oracle runs the identical modular-hash arithmetic.  Every oracled
+query here runs its oracle text through ``sql.sql``; sequence packing
+(``ops/packing.py``) is iterative and stays hand-built.
 """
 
 from __future__ import annotations
 
 from terrier_ray.ops.relational import read_table
-
-
-def mixture_sample_documents(sf_dir: str):
-    """Pretraining data mixing: per-source deterministic sampling rates
-    over the documents table (keep-all src0, taper src1-src3, thin the
-    long tail to 10%).  SQL mirror = same hash arithmetic + CASE."""
-    from terrier_ray.ops.sample import mixture_sample
-
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "source"])
-    return mixture_sample(
-        docs,
-        "source",
-        "doc_id",
-        {"src0": 1000, "src1": 750, "src2": 500, "src3": 250},
-        default_permil=100,
-    )
-
-
-def stratified_sample_documents(sf_dir: str, n_per_source: int = 5):
-    """Exactly-n-per-source eval subset (per-stratum hash-rank top-n)."""
-    from terrier_ray.ops.sample import stratified_sample
-
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "source"])
-    return stratified_sample(docs, "source", "doc_id", n_per_source)
 
 
 def pack_documents(sf_dir: str, budget: int = 1500):
@@ -84,7 +60,5 @@ SQL = {
 }
 
 QUERIES = {
-    "stratified_sample_documents": stratified_sample_documents,
-    "mixture_sample_documents": mixture_sample_documents,
     "pack_documents": pack_documents,
 }

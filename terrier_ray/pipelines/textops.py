@@ -1,4 +1,8 @@
-"""Text-analysis query entry points over the ``documents`` table."""
+"""Text-analysis query entry points over the ``documents`` table.
+
+The token-count, BPE-count and JSON-extract queries run their oracle text
+through ``sql.sql``; the rest are hand-built (model, iterative or
+multi-exchange work)."""
 
 from __future__ import annotations
 
@@ -8,14 +12,7 @@ from terrier_ray.text.analysis import (
     LangId,
     QualityScorer,
     fingerprint_batch,
-    token_count_batch,
 )
-
-
-def token_counts(sf_dir: str):
-    """Whitespace token counts (Arrow kernels; matches the regexp SQL oracle)."""
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return docs.map_batches(token_count_batch, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def quality_scores(sf_dir: str):
@@ -39,41 +36,6 @@ def lang_id(sf_dir: str):
 def fingerprints(sf_dir: str):
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     return docs.map_batches(fingerprint_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def bpe_token_counts(sf_dir: str):
-    """BPE-ish token counts (words | numbers | punct runs) via Arrow regex."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def count(batch):
-        n = pc.cast(
-            pc.count_substring_regex(
-                batch.column("text"), r"[a-zA-Z]+|[0-9]+|[^\sa-zA-Z0-9]+"
-            ),
-            pa.int64(),
-        )
-        return pa.table({"doc_id": batch.column("doc_id"), "n_bpe_tokens": n})
-
-    return docs.map_batches(count, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def json_extract_props(sf_dir: str):
-    """Semi-structured extraction: pull the integer k out of the JSON props
-    column (vectorized regex; the oracle uses DuckDB's json_extract)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    ev = read_table(sf_dir, "events", columns=["event_id", "props"])
-
-    def extract(batch):
-        m = pc.extract_regex(batch.column("props"), r'"k":\s*(?P<k>-?\d+)')
-        k = pc.cast(pc.struct_field(m, "k"), pa.int64())
-        return pa.table({"event_id": batch.column("event_id"), "k": k})
-
-    return ev.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def term_doc_frequency(sf_dir: str, k: int = 20):

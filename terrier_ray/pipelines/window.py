@@ -1,93 +1,11 @@
 """Window-function query suite (DuckDB-oracled) over the orders table.
 
-The running/moving SUM and the LAG day-gap run via ``ops.window.windowed``
-— one hash shuffle + vectorized segment kernels; see that module's
-docstring for the scale contract.  Their oracle texts use forms the SQL
-front-end rejects (a window over an expression, DATEDIFF); every other
-query here runs its oracle text through ``sql.sql``.
+Every query here runs its oracle text through ``sql.sql``; windows lower
+onto ``ops.window.windowed`` — one hash shuffle + vectorized segment
+kernels; see that module's docstring for the scale contract.
 """
 
 from __future__ import annotations
-
-import pyarrow as pa
-import pyarrow.compute as pc
-
-from terrier_ray.ops.relational import read_table, scaled_int, unscale, with_columns
-from terrier_ray.ops.window import windowed
-
-_ORDER = ["o_orderdate", "o_orderkey"]  # unique per partition → deterministic
-
-
-def window_running_spend(sf_dir: str):
-    """Per-customer cumulative spend in order-date order (running SUM)."""
-    orders = read_table(
-        sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
-    )
-    orders = with_columns(
-        orders, {"tp_c": lambda b: scaled_int(b.column("o_totalprice"), 100)}
-    )
-    w = windowed(orders, ["o_custkey"], _ORDER, [("cumsum", "tp_c", "spend_c")])
-    return w.map_batches(
-        lambda b: pa.table(
-            {
-                "o_custkey": b.column("o_custkey"),
-                "o_orderkey": b.column("o_orderkey"),
-                "running_spend": unscale(b.column("spend_c"), 100),
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
-def window_order_gap_days(sf_dir: str):
-    """Days since the customer's previous order (LAG; null on first order)."""
-    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    w = windowed(orders, ["o_custkey"], _ORDER, [("lag", "o_orderdate", "prev_date")])
-
-    def finish(b: pa.Table) -> pa.Table:
-        us = pc.subtract(
-            pc.cast(b.column("o_orderdate"), pa.int64()),
-            pc.cast(b.column("prev_date"), pa.int64()),
-        )
-        return pa.table(
-            {
-                "o_custkey": b.column("o_custkey"),
-                "o_orderkey": b.column("o_orderkey"),
-                "gap_days": pc.divide(us, 86_400_000_000),
-            }
-        )
-
-    return w.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def window_moving_spend(sf_dir: str):
-    """3-order moving SUM/AVG of spend per customer (frame ROWS BETWEEN
-    2 PRECEDING AND CURRENT ROW) — exact integer-cents frame sums."""
-    orders = read_table(
-        sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
-    )
-    orders = with_columns(
-        orders, {"tp_c": lambda b: scaled_int(b.column("o_totalprice"), 100)}
-    )
-    w = windowed(
-        orders,
-        ["o_custkey"],
-        _ORDER,
-        [("moving_sum", "tp_c", "msum_c", 3), ("moving_avg", "tp_c", "mv_avg_c", 3)],
-    )
-    return w.map_batches(
-        lambda b: pa.table(
-            {
-                "o_custkey": b.column("o_custkey"),
-                "o_orderkey": b.column("o_orderkey"),
-                "mv_sum": unscale(b.column("msum_c"), 100),
-                "mv_avg_c": b.column("mv_avg_c"),
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
 
 
 SQL = {
@@ -187,10 +105,4 @@ SQL = {
                         o_orderdate) AS gap_days
         FROM orders
     """,
-}
-
-QUERIES = {
-    "window_running_spend": window_running_spend,
-    "window_order_gap_days": window_order_gap_days,
-    "window_moving_spend": window_moving_spend,
 }

@@ -26,7 +26,7 @@ class Col(Expr):
 
 @dataclass(frozen=True)
 class Lit(Expr):
-    value: Any
+    value: Any  # an interval's value is its length in microseconds
     type: Optional[str] = None  # None | "timestamp" | "date" | "interval"
 
 
@@ -64,11 +64,13 @@ class Agg(Expr):
 @dataclass(frozen=True)
 class OrderedAgg(Expr):
     """Ordered-set aggregate: PERCENTILE_CONT/PERCENTILE_DISC(q) WITHIN
-    GROUP (ORDER BY expr).  Lowers onto ops/orderagg.grouped_quantiles
-    (exact, DuckDB-identical interpolation)."""
+    GROUP (ORDER BY expr) (MEDIAN and QUANTILE_CONT are spellings of
+    percentile_cont), or STRING_AGG(expr, q ORDER BY expr).  Lowers onto
+    ops/orderagg.grouped_quantiles (exact, DuckDB-identical
+    interpolation)."""
 
-    func: str  # percentile_cont | percentile_disc
-    q: float
+    func: str  # percentile_cont | percentile_disc | string_agg
+    q: Any  # the fraction; string_agg's separator
     order: Expr
 
 
@@ -184,6 +186,7 @@ class TableRef:
     table: str
     alias: Optional[str] = None
     subquery: Optional[Any] = None  # Select | SetOpStmt for derived tables
+    values: Optional[Any] = None  # (column names, literal rows) for VALUES
 
 
 @dataclass
@@ -213,6 +216,7 @@ class Select:
     offset: Optional[int] = None
     ctes: list[tuple[str, Any]] = field(default_factory=list)  # WITH name AS (...)
     windows: list[tuple[str, WindowDef]] = field(default_factory=list)  # WINDOW w AS (...)
+    qualify: Optional[Expr] = None  # filter over window results
 
 
 @dataclass

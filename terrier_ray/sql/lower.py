@@ -12,7 +12,8 @@ filters/projections into scans and picks join strategies, mirroring the
 reference's rewrite rules (src/include/optimizer/rule.h:16-79).
 
 Value-semantics contract: every lowering choice mirrors DuckDB semantics so
-driver value-hashes match — ``/`` is float64 division, ROUND uses
+value-hashes against DuckDB match — ``/`` is float64 division, integer ``//``
+truncates toward zero (NULL on a zero divisor), ROUND uses
 half-towards-infinity (ops/relational.ROUND_MODE), CAST(float AS BIGINT)
 rounds (DuckDB) rather than truncates (C), SUM over integers is widened to
 float64 exactly as DuckDB's HUGEINT lands in pandas, and AND/OR are Kleene.
@@ -177,13 +178,15 @@ class Binder:
 # ---------------------------------------------------------------------------
 
 _INT_FNS = {"YEAR", "MONTH", "DAY", "HOUR", "MINUTE", "SECOND", "LENGTH",
-            "ASCII", "MILLISECOND", "MICROSECOND"}
+            "LEN", "ASCII", "MILLISECOND", "MICROSECOND", "QUARTER", "ISODOW",
+            "DAYOFYEAR", "EPOCH_US", "STRPOS", "DATEDIFF"}
 _FLOAT_FNS = {"ROUND", "SQRT", "LN", "LOG", "LOG10", "LOG2", "EXP", "SIN",
               "COS", "TAN", "COT", "ASIN", "ACOS", "ATAN", "ATAN2", "ABS",
-              "FLOOR", "CEIL", "CEILING", "TRUNC", "SIGN", "POWER"}
+              "FLOOR", "CEIL", "CEILING", "TRUNC", "SIGN", "POWER", "CBRT"}
 _STR_FNS = {"UPPER", "LOWER", "SUBSTR", "SUBSTRING", "CONCAT", "TRIM", "LTRIM",
-            "RTRIM", "REPLACE", "LPAD", "RPAD", "REVERSE", "LEFT", "RIGHT"}
-_TS_FNS = {"DATE_TRUNC"}
+            "RTRIM", "REPLACE", "LPAD", "RPAD", "REVERSE", "LEFT", "RIGHT",
+            "REPEAT", "SPLIT_PART", "CHR", "REGEXP_REPLACE", "JSON_EXTRACT"}
+_TS_FNS = {"DATE_TRUNC", "MAKE_TIMESTAMP"}
 
 _CAST_KIND = {
     "BIGINT": "int", "INT": "int", "INTEGER": "int", "SMALLINT": "int",
@@ -215,8 +218,8 @@ def infer_kind(e: Expr, binder: Binder) -> str:
     if isinstance(e, Col):
         return _kind_of_pa(binder.type_of(e))
     if isinstance(e, Lit):
-        if e.type == "timestamp":
-            return "ts"
+        if e.type in ("timestamp", "interval"):
+            return "ts" if e.type == "timestamp" else "interval"
         if e.type == "date":
             return "date"
         if isinstance(e.value, bool):
@@ -234,6 +237,8 @@ def infer_kind(e: Expr, binder: Binder) -> str:
         if e.op == "/":
             return "float"
         lk, rk = infer_kind(e.left, binder), infer_kind(e.right, binder)
+        if "ts" in (lk, rk):  # ts ± interval → ts; ts - ts → interval
+            return "interval" if lk == rk else "ts"
         if "float" in (lk, rk):
             return "float"
         if lk == rk == "int":
@@ -250,7 +255,9 @@ def infer_kind(e: Expr, binder: Binder) -> str:
             return "str"
         if e.name in _TS_FNS:
             return "ts"
-        return "other"
+        if e.name == "REGEXP_SPLIT_TO_ARRAY":
+            return "list"
+        return "bool" if e.name == "STARTS_WITH" else "other"
     if isinstance(e, Agg):
         if e.func == "count":
             return "int"
@@ -278,6 +285,8 @@ def infer_kind(e: Expr, binder: Binder) -> str:
     if isinstance(e, (Like, InList, Between, IsNull, Exists, InSubquery)):
         return "bool"
     if isinstance(e, OrderedAgg):
+        if e.func == "string_agg":
+            return "str"
         return (
             "float"
             if e.func == "percentile_cont"
@@ -327,7 +336,16 @@ def _register_from(
     for tr in refs:
         if tr is None:
             continue
-        if tr.subquery is not None:
+        if tr.values is not None:  # a VALUES list: a view over its rows
+            name = catalog.fresh(f"{tr.alias}__v")
+            cols, rows = tr.values
+            schema = pa.Table.from_pylist(
+                [dict(zip(cols, r)) for r in rows]).schema
+            catalog.register_view(name, schema, {"scan": {"values": {
+                "columns": cols, "types": [str(t) for t in schema.types],
+                "rows": rows}}})
+            tables.append((name, tr.alias))
+        elif tr.subquery is not None:
             name = catalog.fresh(f"{tr.alias or 'subq'}__v")
             vspec = lower(tr.subquery, catalog)
             catalog.register_view(
@@ -396,7 +414,27 @@ _ARITH_KERNEL = {"+": "add", "-": "subtract", "*": "multiply"}
 def _lit_json(lit: Lit) -> Mapping[str, Any]:
     if lit.type in ("timestamp", "date"):
         return {"lit": lit.value, "type": "timestamp"}
+    if lit.type == "interval":
+        return {"lit": lit.value, "type": "interval"}
     return {"lit": lit.value}
+
+
+def _lit_arg(e: Fn, i: int, kind: type = int) -> Any:
+    """``e``'s i-th argument, which must be a literal of ``kind``."""
+    a = e.args[i] if i < len(e.args) else None
+    if not (isinstance(a, Lit) and isinstance(a.value, kind)):
+        raise ValueError(f"{e.name} argument {i + 1} must be a literal")
+    return a.value
+
+
+def _cast_int(node: Mapping[str, Any]) -> Mapping[str, Any]:
+    return {"fn": "cast", "args": [node], "options": {"target_type": "int64"}}
+
+
+#: DATEDIFF units whose Arrow ``<unit>s_between`` counts boundaries crossed,
+#: as DuckDB's DATEDIFF does
+_DATEDIFF_UNITS = {"year", "quarter", "day", "hour", "minute", "second",
+                   "millisecond", "microsecond"}
 
 
 class _Lowerer:
@@ -415,9 +453,13 @@ class _Lowerer:
         agg_refs: Optional[dict[Agg, str]] = None,
         scalar_refs: Optional[dict[int, str]] = None,
         win_refs: Optional[dict[WindowFn, str]] = None,
+        key_refs: Optional[dict[Expr, str]] = None,
     ):
         self.binder = binder
         self.agg_refs = agg_refs or {}
+        #: computed GROUP BY expression → its key column (post-aggregation
+        #: expressions may reuse the key expression, e.g. ``key + 1``)
+        self.key_refs = key_refs or {}
         #: id(ScalarSubquery node) → column carrying its decorrelated value
         #: (MUST alias the caller's dict — the pre-pass fills it later)
         self.scalar_refs = {} if scalar_refs is None else scalar_refs
@@ -426,6 +468,8 @@ class _Lowerer:
         self.win_refs = {} if win_refs is None else win_refs
 
     def lower(self, e: Expr) -> Mapping[str, Any]:
+        if self.key_refs and e in self.key_refs:
+            return {"col": self.key_refs[e]}
         if isinstance(e, ScalarSubquery):
             ref = self.scalar_refs.get(id(e))
             if ref is not None:
@@ -474,8 +518,17 @@ class _Lowerer:
                 return {"fn": _CMP_KERNEL[e.op], "args": [l, r]}
             if e.op in _ARITH_KERNEL:
                 return {"fn": _ARITH_KERNEL[e.op], "args": [l, r]}
-            if e.op == "/":
-                # DuckDB '/' is float64 division even on integers
+            ints = e.op == "//" and infer_kind(e.left, self.binder) == \
+                infer_kind(e.right, self.binder) == "int"
+            if ints:
+                # BIGINT '//': Arrow integer divide truncates toward zero
+                # like DuckDB; a zero divisor gives NULL, not an error
+                zero = {"fn": "equal", "args": [r, {"lit": 0}]}
+                safe = {"fn": "if_else", "args": [zero, {"lit": 1}, r]}
+                return {"fn": "if_else", "args": [
+                    zero, {"lit": None}, {"fn": "divide", "args": [l, safe]}]}
+            if e.op in ("/", "//"):
+                # DuckDB '/' (and '//' on DOUBLE) is float64 division
                 return {"fn": "divide", "args": [
                     {"fn": "cast", "args": [l], "options": {"target_type": "float64"}},
                     {"fn": "cast", "args": [r], "options": {"target_type": "float64"}},
@@ -576,13 +629,20 @@ class _Lowerer:
 
     def _lower_fn(self, e: Fn) -> Mapping[str, Any]:
         name, args = e.name, e.args
+        if name in ("LENGTH", "LEN") and isinstance(args[0], Fn) and \
+                args[0].name == "REGEXP_EXTRACT_ALL":
+            # the number of matches, counted by RE2 as DuckDB matches
+            a = args[0]
+            return _cast_int({"fn": "count_substring_regex",
+                              "args": [self.lower(a.args[0])],
+                              "options": {"pattern": _lit_arg(a, 1, str)}})
         la = [self.lower(a) for a in args]
         if name in ("UPPER", "LOWER"):
             return {"fn": f"utf8_{name.lower()}", "args": la}
-        if name == "LENGTH":
-            return {"fn": "cast",
-                    "args": [{"fn": "utf8_length", "args": la}],
-                    "options": {"target_type": "int64"}}
+        if name in ("LENGTH", "LEN"):
+            list_arg = infer_kind(args[0], self.binder) == "list"
+            return _cast_int({"fn": "list_value_length" if list_arg
+                              else "utf8_length", "args": la})
         if name in ("SUBSTR", "SUBSTRING"):
             if len(args) != 3 or not isinstance(args[1], Lit) or not isinstance(args[2], Lit):
                 raise ValueError("SUBSTR needs literal start/length")
@@ -595,10 +655,85 @@ class _Lowerer:
                     "args": la + [{"lit": ""}],
                     "options": {"null_handling": "replace",
                                 "null_replacement": ""}}
-        if name in ("YEAR", "MONTH", "DAY", "HOUR", "MINUTE", "SECOND"):
-            return {"fn": "cast",
-                    "args": [{"fn": name.lower(), "args": la}],
-                    "options": {"target_type": "int64"}}
+        if name in ("YEAR", "MONTH", "DAY", "HOUR", "MINUTE", "SECOND",
+                    "QUARTER"):
+            return _cast_int({"fn": name.lower(), "args": la})
+        if name == "DAYOFYEAR":
+            return _cast_int({"fn": "day_of_year", "args": la})
+        if name == "ISODOW":  # Monday = 1 .. Sunday = 7
+            return _cast_int({"fn": "day_of_week", "args": la, "options": {
+                "count_from_zero": False, "week_start": 1}})
+        if name == "MAKE_TIMESTAMP" and len(args) == 1:  # from epoch µs
+            return {"fn": "cast", "args": [_cast_int(la[0])],
+                    "options": {"target_type": "timestamp[us]"}}
+        if name == "EPOCH_US":
+            return _cast_int({"fn": "cast", "args": la,
+                              "options": {"target_type": "timestamp[us]"}})
+        if name == "DATEDIFF":
+            unit = _lit_arg(e, 0, str).lower()
+            if unit not in _DATEDIFF_UNITS:
+                raise ValueError(f"unsupported DATEDIFF unit {unit!r}")
+            return _cast_int({"fn": f"{unit}s_between", "args": la[1:]})
+        if name in ("LEFT", "RIGHT"):
+            n = _lit_arg(e, 1)
+            if name == "LEFT":
+                opts = {"start": 0, "stop": n}
+            else:  # RIGHT(s, 0) is '': a start of -0 would keep all of s
+                opts = {"start": -n, "stop": 0} if n == 0 else {"start": -n}
+            return {"fn": "utf8_slice_codeunits", "args": la[:1],
+                    "options": opts}
+        if name in ("LPAD", "RPAD"):
+            # DuckDB cuts a longer string to the width; Arrow only pads
+            n, pad = _lit_arg(e, 1), _lit_arg(e, 2, str)
+            cut = {"fn": "utf8_slice_codeunits", "args": la[:1],
+                   "options": {"start": 0, "stop": n}}
+            return {"fn": f"utf8_{name[0].lower()}pad", "args": [cut],
+                    "options": {"width": n, "padding": pad}}
+        if name in ("TRIM", "LTRIM", "RTRIM"):
+            # one-argument TRIM strips spaces only (DuckDB), not whitespace
+            chars = _lit_arg(e, 1, str) if len(args) > 1 else " "
+            return {"fn": f"utf8_{name[:-4].lower()}trim", "args": la[:1],
+                    "options": {"characters": chars}}
+        if name == "STARTS_WITH":
+            return {"fn": "starts_with", "args": la[:1],
+                    "options": {"pattern": _lit_arg(e, 1, str)}}
+        if name == "STRPOS":
+            # character position: 1 + the length of the text before the
+            # first match (find_substring counts bytes), 0 when absent
+            pat = {"pattern": _lit_arg(e, 1, str)}
+            head = {"fn": "list_element", "args": [
+                {"fn": "split_pattern", "args": la[:1],
+                 "options": {**pat, "max_splits": 1}}, {"lit": 0}]}
+            found = {"fn": "not_equal", "args": [
+                {"fn": "find_substring", "args": la[:1], "options": pat},
+                {"lit": -1}]}
+            return _cast_int({"fn": "if_else", "args": [
+                found, {"fn": "add", "args": [
+                    {"fn": "utf8_length", "args": [head]}, {"lit": 1}]},
+                {"lit": 0}]})
+        if name == "REPEAT":
+            return {"fn": "binary_repeat", "args": la}
+        if name == "SPLIT_PART":
+            # the k-th part as a 0/1-element list, joined: '' past the end
+            k = _lit_arg(e, 2)
+            if k < 1:
+                raise ValueError("SPLIT_PART index must be positive")
+            parts = {"fn": "split_pattern", "args": la[:1],
+                     "options": {"pattern": _lit_arg(e, 1, str)}}
+            return {"fn": "binary_join", "args": [
+                {"fn": "list_slice", "args": [parts],
+                 "options": {"start": k - 1, "stop": k}}, {"lit": ""}]}
+        if name == "REGEXP_SPLIT_TO_ARRAY":
+            return {"fn": "split_pattern_regex", "args": la[:1],
+                    "options": {"pattern": _lit_arg(e, 1, str)}}
+        if name == "REGEXP_REPLACE":
+            glob = len(args) > 3 and "g" in _lit_arg(e, 3, str)
+            return {"fn": "replace_substring_regex", "args": la[:1],
+                    "options": {"pattern": _lit_arg(e, 1, str),
+                                "replacement": _lit_arg(e, 2, str),
+                                "max_replacements": None if glob else 1}}
+        if name in ("CBRT", "ASCII", "CHR", "JSON_EXTRACT"):
+            return {"fn": name.lower(), "args": la}  # api._KERNELS
         if name == "DATE_TRUNC":
             if not isinstance(args[0], Lit):
                 raise ValueError("DATE_TRUNC unit must be a literal")
@@ -620,8 +755,7 @@ class _Lowerer:
             "LN": "ln", "LOG10": "log10", "LOG2": "log2", "SQRT": "sqrt",
             "FLOOR": "floor", "CEIL": "ceil", "CEILING": "ceil",
             "TRUNC": "trunc", "SIGN": "sign", "POWER": "power",
-            "TRIM": "utf8_trim_whitespace", "LTRIM": "utf8_ltrim_whitespace",
-            "RTRIM": "utf8_rtrim_whitespace", "REVERSE": "utf8_reverse",
+            "REVERSE": "utf8_reverse",
         }
         if name in _DIRECT:
             return {"fn": _DIRECT[name], "args": la}
@@ -746,17 +880,21 @@ _WIN_KIND = {
 
 def _lower_windows(
     sel: Select,
-    binder: Binder,
+    lo: "_Lowerer",
     ops: list[dict[str, Any]],
     win_refs: dict[WindowFn, str],
 ) -> None:
-    """Extract WindowFn occurrences from the select items, group them by
-    window definition, and append one ``window`` op per distinct window
-    (ops/window.windowed computes every spec of a window in ONE bucket
-    shuffle).  ``win_refs`` maps each WindowFn to its output column."""
+    """Extract WindowFn occurrences from the select items and QUALIFY,
+    group them by window definition, and append one ``window`` op per
+    distinct window (ops/window.windowed computes every spec of a window in
+    ONE bucket shuffle).  ``win_refs`` maps each WindowFn to its output
+    column."""
+    binder = lo.binder
     all_wins: list[WindowFn] = []
     for it in sel.items:
         _collect_windows(it.expr, all_wins)
+    if sel.qualify is not None:
+        _collect_windows(sel.qualify, all_wins)
     if not all_wins:
         return
     if sel.group_by or sel.having is not None:
@@ -780,14 +918,22 @@ def _lower_windows(
         win_refs[wf] = name
         groups.setdefault(wd, []).append((wf, name))
 
-    def phys(e: Expr, what: str) -> str:
-        if not isinstance(e, Col):
-            raise ValueError(f"window {what} must be a plain column")
-        return binder.physical(e)
+    computed: dict[Expr, str] = {}
+
+    def phys(e: Expr) -> str:
+        """Column of a window key / argument; an expression is computed
+        into a hidden column first (once per distinct expression)."""
+        if isinstance(e, Col):
+            return binder.physical(e)
+        if e not in computed:
+            computed[e] = f"__wx{len(computed)}"
+            ops.append({"op": "compute", "alias": computed[e],
+                        "expr": lo.lower(e)})
+        return computed[e]
 
     for wd, fns in groups.items():
-        partition = [phys(c, "PARTITION BY key") for c in wd.partition_by]
-        order = [phys(c, "ORDER BY key") for c, _ in wd.order_by]
+        partition = [phys(c) for c in wd.partition_by]
+        order = [phys(c) for c, _ in wd.order_by]
         desc = [d for _, d in wd.order_by]
         specs: list[list[Any]] = []
         fr = wd.frame
@@ -847,13 +993,13 @@ def _lower_windows(
                 if len(wf.args) != 2 or not isinstance(wf.args[1], Lit):
                     raise ValueError("NTH_VALUE(col, n) requires literal n")
                 specs.append(
-                    [kind, phys(wf.args[0], "argument"), name,
+                    [kind, phys(wf.args[0]), name,
                      int(wf.args[1].value)]
                 )
             elif kind in ("moving_sum", "moving_avg"):
                 if not wf.args:
                     raise ValueError(f"{wf.func} requires a column argument")
-                specs.append([kind, phys(wf.args[0], "argument"), name, param])
+                specs.append([kind, phys(wf.args[0]), name, param])
             else:  # lag / lead / cumsum / first_value / last_value
                 if kind in ("lag", "lead") and len(wf.args) > 1:
                     if not (isinstance(wf.args[1], Lit)
@@ -861,7 +1007,7 @@ def _lower_windows(
                         raise ValueError("LAG/LEAD offset must be 1")
                 if not wf.args:
                     raise ValueError(f"{wf.func} requires a column argument")
-                specs.append([kind, phys(wf.args[0], "argument"), name])
+                specs.append([kind, phys(wf.args[0]), name])
         ops.append({
             "op": "window",
             "partition_by": partition,
@@ -1330,7 +1476,9 @@ def lower(sel: "Select | SetOpStmt", catalog: Catalog) -> Mapping[str, Any]:
         ops.append({"op": "filter", "expr": lo.lower(c)})
 
     # ---- window functions (evaluated after WHERE, before projection) -------
-    _lower_windows(sel, binder, ops, win_refs)
+    _lower_windows(sel, lo, ops, win_refs)
+    if sel.qualify is not None:
+        ops.append({"op": "filter", "expr": lo.lower(sel.qualify)})
 
     # ---- SELECT * ----------------------------------------------------------
     if len(sel.items) == 1 and isinstance(sel.items[0].expr, Star):
@@ -1480,7 +1628,12 @@ def lower(sel: "Select | SetOpStmt", catalog: Catalog) -> Mapping[str, Any]:
             ops.append({"op": "global_agg", "aggs": agg_specs})
 
         # post-aggregation scalar expressions
-        post = _Lowerer(binder, agg_refs, scalar_refs=scalar_refs)
+        key_refs = {
+            deref_alias(g): k for g, k in zip(gb_exprs, key_names)
+            if not isinstance(deref_alias(g), Col)
+        }
+        post = _Lowerer(binder, agg_refs, scalar_refs=scalar_refs,
+                        key_refs=key_refs)
         final_lower = post
         for it, out_name in zip(sel.items, out_cols):
             e = deref_alias(it.expr)

@@ -11,10 +11,14 @@ AST in terrier_ray/sql/ast.py.  Grammar (case-insensitive keywords)::
     [ WHERE expr ] [ GROUP BY expr, ... ] [ HAVING expr ]
     [ ORDER BY expr [ASC|DESC], ... ] [ LIMIT n [OFFSET m] ]
 
-Expressions: literals (numbers, strings, TIMESTAMP/DATE '...'), column refs
-(optionally qualified), + - * / %, comparisons, AND/OR/NOT, LIKE, IN (...),
-BETWEEN, IS [NOT] NULL, CASE WHEN, CAST(x AS T), scalar function calls, and
-the aggregates SUM/COUNT/MIN/MAX/AVG (with COUNT(*) and DISTINCT arg).
+Expressions: literals (numbers, strings, TIMESTAMP/DATE '...',
+INTERVAL n UNIT), column refs (optionally qualified), + - * / // %,
+comparisons, AND/OR/NOT, LIKE, IN (...), BETWEEN, IS [NOT] NULL, searched
+and simple CASE, CAST(x AS T), scalar function calls, the aggregates
+SUM/COUNT/MIN/MAX/AVG (with COUNT(*) and DISTINCT arg), and the ordered-set
+aggregates PERCENTILE_CONT/DISC ... WITHIN GROUP, MEDIAN, QUANTILE_CONT and
+STRING_AGG(x, sep [ORDER BY x]).  QUALIFY filters on window results;
+FROM takes ( VALUES (...), ... ) AS name(cols) lists of literals.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ _TOKEN_RE = re.compile(
   | (?P<str>'(?:[^']|'')*')
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<param>\$\d+)
-  | (?P<op><>|!=|<=|>=|=|<|>|\+|-|\*|/|%|\(|\)|,|\.)
+  | (?P<op><>|!=|<=|>=|=|<|>|\+|-|\*|//|/|%|\(|\)|,|\.)
     """,
     re.VERBOSE,
 )
@@ -78,7 +82,13 @@ _KEYWORDS = {
     "ALL", "WITH", "EXISTS", "OVER", "PARTITION", "WINDOW",
     "INSERT", "INTO", "DELETE", "VALUES", "UPDATE", "SET",
     "ROWS", "RANGE", "PRECEDING", "FOLLOWING", "UNBOUNDED", "CURRENT", "ROW",
-    "WITHIN",
+    "WITHIN", "QUALIFY",
+}
+
+#: INTERVAL n UNIT → microseconds per unit (fixed-length units only)
+_INTERVAL_US = {
+    "MICROSECOND": 1, "MILLISECOND": 1_000, "SECOND": 1_000_000,
+    "MINUTE": 60_000_000, "HOUR": 3_600_000_000, "DAY": 86_400_000_000,
 }
 
 
@@ -317,6 +327,8 @@ class Parser:
                 sel.windows.append((wname, self._window_def()))
                 if not self.accept_op(","):
                     break
+        if self.accept_kw("QUALIFY"):
+            sel.qualify = self.expr()
         return sel
 
     def select_item(self) -> SelectItem:
@@ -342,6 +354,23 @@ class Parser:
             elif self.peek().kind == "ident":
                 alias = self.expect_ident()
             return TableRef("", alias, subquery=sub)
+        if self.peek(1).kind == "kw" and self.peek(1).text == "VALUES":
+            # ( VALUES (lit, ...), ... ) [AS] alias [(col, ...)]
+            self.expect_op("(")
+            self.expect_kw("VALUES")
+            rows = [self._literal_row()]
+            while self.accept_op(","):
+                rows.append(self._literal_row())
+            self.expect_op(")")
+            self.accept_kw("AS")
+            alias = self.expect_ident()
+            cols = [f"col{i}" for i in range(len(rows[0]))]
+            if self.accept_op("("):
+                cols = [self.expect_ident()]
+                while self.accept_op(","):
+                    cols.append(self.expect_ident())
+                self.expect_op(")")
+            return TableRef("", alias, values=(cols, rows))
         name = self.expect_ident()
         alias = None
         if self.accept_kw("AS"):
@@ -349,6 +378,17 @@ class Parser:
         elif self.peek().kind == "ident":
             alias = self.expect_ident()
         return TableRef(name, alias)
+
+    def _literal_row(self) -> list:
+        self.expect_op("(")
+        row = [self.expr()]
+        while self.accept_op(","):
+            row.append(self.expr())
+        self.expect_op(")")
+        for e in row:
+            if not isinstance(e, Lit) or e.type is not None:
+                raise SyntaxError("VALUES rows hold plain literals only")
+        return [e.value for e in row]
 
     def order_item(self) -> OrderItem:
         e = self.expr()
@@ -438,7 +478,7 @@ class Parser:
     def multiplicative(self) -> Expr:
         left = self.unary()
         while True:
-            op = self.accept_op("*", "/", "%")
+            op = self.accept_op("*", "/", "//", "%")
             if not op:
                 return left
             left = BinOp(op, left, self.unary())
@@ -500,6 +540,11 @@ class Parser:
                 return Exists(sub)
             if t.text == "CASE":
                 return self.case_expr()
+            if t.text in ("LEFT", "RIGHT") and self.peek(1).kind == "op" \
+                    and self.peek(1).text == "(":
+                self.next()
+                self.expect_op("(")
+                return self._call(t.text)
             if t.text == "CAST":
                 self.next()
                 self.expect_op("(")
@@ -514,53 +559,81 @@ class Parser:
                 return Cast(e, typ)
             raise SyntaxError(f"unexpected keyword {t.text!r} in expression")
         if t.kind == "ident":
+            if t.text.upper() == "INTERVAL" and self.peek(1).kind == "num":
+                self.next()
+                n = int(self.next().text)
+                unit = self.expect_ident().upper().removesuffix("S")
+                if unit not in _INTERVAL_US:
+                    raise SyntaxError(f"unsupported INTERVAL unit {unit!r}")
+                return Lit(n * _INTERVAL_US[unit], "interval")
             # function call / qualified column / bare column
             if self.peek(1).kind == "op" and self.peek(1).text == "(":
                 name = self.expect_ident().upper()
                 self.expect_op("(")
-                if name in ("PERCENTILE_CONT", "PERCENTILE_DISC"):
-                    qt = self.peek()
-                    if qt.kind != "num":
-                        raise SyntaxError(
-                            f"{name} requires a literal fraction, got {qt.text!r}"
-                        )
-                    self.next()
-                    q = float(qt.text)
-                    self.expect_op(")")
-                    self.expect_kw("WITHIN")
-                    self.expect_kw("GROUP")
-                    self.expect_op("(")
-                    self.expect_kw("ORDER")
-                    self.expect_kw("BY")
-                    order = self.expr()
-                    if self.accept_kw("DESC"):
-                        raise SyntaxError(
-                            f"{name} WITHIN GROUP (ORDER BY ... DESC) not "
-                            "supported; use 1-q over ASC"
-                        )
-                    self.accept_kw("ASC")
-                    self.expect_op(")")
-                    return OrderedAgg(name.lower(), q, order)
-                if name in _AGG_FUNCS:
-                    if self.accept_op("*"):
-                        self.expect_op(")")
-                        return self._maybe_over(Agg("count", None))
-                    distinct = bool(self.accept_kw("DISTINCT"))
-                    arg = self.expr()
-                    self.expect_op(")")
-                    return self._maybe_over(Agg(name.lower(), arg, distinct))
-                args: list[Expr] = []
-                if not self.accept_op(")"):
-                    args.append(self.expr())
-                    while self.accept_op(","):
-                        args.append(self.expr())
-                    self.expect_op(")")
-                return self._maybe_over(Fn(name, tuple(args)))
+                return self._call(name)
             name = self.expect_ident()
             if self.accept_op("."):
                 return Col(self.expect_ident(), table=name)
             return Col(name)
         raise SyntaxError(f"unexpected token {t.text!r}")
+
+    def _call(self, name: str) -> Expr:
+        """Function call after ``name (``: aggregates, ordered-set
+        aggregates, then scalar functions (all optionally windowed)."""
+        if name in ("PERCENTILE_CONT", "PERCENTILE_DISC"):
+            qt = self.peek()
+            if qt.kind != "num":
+                raise SyntaxError(
+                    f"{name} requires a literal fraction, got {qt.text!r}"
+                )
+            self.next()
+            q = float(qt.text)
+            self.expect_op(")")
+            self.expect_kw("WITHIN")
+            self.expect_kw("GROUP")
+            self.expect_op("(")
+            self.expect_kw("ORDER")
+            self.expect_kw("BY")
+            order = self.expr()
+            if self.accept_kw("DESC"):
+                raise SyntaxError(
+                    f"{name} WITHIN GROUP (ORDER BY ... DESC) not "
+                    "supported; use 1-q over ASC"
+                )
+            self.accept_kw("ASC")
+            self.expect_op(")")
+            return OrderedAgg(name.lower(), q, order)
+        if name in _AGG_FUNCS:
+            if self.accept_op("*"):
+                self.expect_op(")")
+                return self._maybe_over(Agg("count", None))
+            distinct = bool(self.accept_kw("DISTINCT"))
+            arg = self.expr()
+            self.expect_op(")")
+            return self._maybe_over(Agg(name.lower(), arg, distinct))
+        args: list[Expr] = []
+        if not self.accept_op(")"):
+            args.append(self.expr())
+            while self.accept_op(","):
+                args.append(self.expr())
+            if name == "STRING_AGG" and self.accept_kw("ORDER"):
+                self.expect_kw("BY")
+                if self.expr() != args[0]:
+                    raise SyntaxError("STRING_AGG must order by its argument")
+            self.expect_op(")")
+        # MEDIAN / QUANTILE_CONT / STRING_AGG are spellings of the
+        # ordered-set aggregates (exact, one bucket shuffle per SELECT)
+        if name == "MEDIAN" and len(args) == 1:
+            return OrderedAgg("percentile_cont", 0.5, args[0])
+        if name == "QUANTILE_CONT" and len(args) == 2:
+            if not isinstance(args[1], Lit):
+                raise SyntaxError("QUANTILE_CONT requires a literal fraction")
+            return OrderedAgg("percentile_cont", float(args[1].value), args[0])
+        if name == "STRING_AGG" and len(args) == 2:
+            if not isinstance(args[1], Lit):
+                raise SyntaxError("STRING_AGG requires a literal separator")
+            return OrderedAgg("string_agg", args[1].value, args[0])
+        return self._maybe_over(Fn(name, tuple(args)))
 
     def _maybe_over(self, node: Expr) -> Expr:
         """``fn(...) [OVER (def) | OVER name]`` — wrap into WindowFn."""
@@ -630,10 +703,16 @@ class Parser:
         raise SyntaxError(f"expected frame bound at {t.text!r}")
 
     def case_expr(self) -> Expr:
+        """Searched CASE; the simple form ``CASE x WHEN v ...`` becomes
+        ``CASE WHEN x = v ...``."""
         self.expect_kw("CASE")
+        operand = None if self.peek().kind == "kw" and \
+            self.peek().text == "WHEN" else self.expr()
         whens: list[tuple[Expr, Expr]] = []
         while self.accept_kw("WHEN"):
             cond = self.expr()
+            if operand is not None:
+                cond = BinOp("=", operand, cond)
             self.expect_kw("THEN")
             whens.append((cond, self.expr()))
         default = None

@@ -1,5 +1,5 @@
 """Text-analysis stages over the ``documents`` table: language-ID, quality
-scoring, token counting, rolling-hash fingerprints.
+scoring, rolling-hash fingerprints.
 
 All per-batch vectorized (numpy / compiled regex); heavier state (stopword
 sets, n-gram profiles) is built once per actor in ``__init__``.
@@ -12,34 +12,9 @@ import re
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 _WS_RE = re.compile(r"\s+")
 _WORD_RE = re.compile(r"[a-z0-9]+")
-# BPE-ish token regex: words, numbers, punctuation runs (GPT-2-style shape)
-_BPE_RE = re.compile(r"[a-zA-Z]+|[0-9]+|[^\sa-zA-Z0-9]+")
-
-
-def token_count_batch(batch: pa.Table) -> pa.Table:
-    """Whitespace token counts via Arrow kernels (no Python loop).
-
-    Matches duckdb `length(regexp_split_to_array(trim(text), '\\s+'))` for
-    non-empty trimmed text (driver oracle pairs with that SQL).
-    """
-    trimmed = pc.utf8_trim_whitespace(batch.column("text"))
-    nonempty = pc.greater(pc.utf8_length(trimmed), 0)
-    t = batch.filter(nonempty)
-    trimmed = pc.utf8_trim_whitespace(t.column("text"))
-    parts = pc.split_pattern_regex(trimmed, pattern=r"\s+")
-    n = pc.cast(pc.list_value_length(parts), pa.int64())
-    return pa.table({"doc_id": t.column("doc_id"), "n_tokens": n})
-
-
-def bpe_token_count(texts: list[str]) -> np.ndarray:
-    out = np.empty(len(texts), dtype=np.int64)
-    for i, t in enumerate(texts):
-        out[i] = len(_BPE_RE.findall(t))
-    return out
 
 
 class QualityScorer:

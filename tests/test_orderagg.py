@@ -1,4 +1,4 @@
-"""ops.orderagg — grouped quantile / string_agg vs numpy+pandas oracles."""
+"""ops.orderagg — grouped quantiles / string_agg vs DuckDB and pandas oracles."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from terrier_ray.ops.orderagg import grouped_quantile, grouped_string_agg
+from terrier_ray.ops.orderagg import grouped_quantiles
 
 
 @pytest.fixture()
@@ -36,7 +36,8 @@ def test_grouped_quantile_matches_duckdb(ray_session, df, q):
     import duckdb
 
     out = (
-        grouped_quantile(_ds(df), ["k"], "v", q, "qv", num_partitions=7)
+        grouped_quantiles(_ds(df), ["k"], [("percentile_cont", "v", q, "qv")],
+                          num_partitions=7)
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
@@ -51,8 +52,8 @@ def test_grouped_quantile_matches_duckdb(ray_session, df, q):
 
 def test_grouped_string_agg_ordered(ray_session, df):
     out = (
-        grouped_string_agg(
-            _ds(df), ["k"], "s", "|", "joined", order_by=["s"], num_partitions=7
+        grouped_quantiles(
+            _ds(df), ["k"], [("string_agg", "s", "|", "joined")], num_partitions=7
         )
         .to_pandas()
         .sort_values("k")
@@ -87,8 +88,6 @@ def test_quantile_disc_vs_duckdb(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from terrier_ray.ops.orderagg import grouped_quantile_disc
-
     rng = np.random.default_rng(3)
     t = pa.table(
         {
@@ -98,7 +97,8 @@ def test_quantile_disc_vs_duckdb(ray_session):
     )
     for q in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
         got = (
-            grouped_quantile_disc(rd.from_arrow(t), ["k"], "v", q, "dv", 4)
+            grouped_quantiles(rd.from_arrow(t), ["k"],
+                              [("percentile_disc", "v", q, "dv")], 4)
             .to_pandas()
             .sort_values("k")
             .reset_index(drop=True)

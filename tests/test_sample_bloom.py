@@ -1,4 +1,5 @@
-"""ops.sample determinism + ops.packing guarantees."""
+"""ops.sample determinism, the SQL sampling queries' hash-rank arithmetic,
+and ops.packing guarantees."""
 
 from __future__ import annotations
 
@@ -30,37 +31,27 @@ def test_bernoulli_sample_deterministic_and_unbiased(ray_session):
     assert 0.05 < len(a) / 5000 < 0.15
 
 
-def test_mixture_sample_exact_arithmetic(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
+def _documents(sf_dir):
+    import pyarrow.parquet as pq
 
-    from terrier_ray.ops.sample import _MULT, _PREMOD, mixture_sample
+    t = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
+    return t.column("doc_id").to_numpy(), np.asarray(t.column("source").to_pylist())
 
-    n = 3000
-    keys = np.arange(n, dtype=np.int64)
-    srcs = np.array(["a", "b", "c"], dtype=object)[keys % 3]
-    ds = rd.from_arrow(pa.table({"k": keys, "s": pa.array(srcs.tolist())}))
-    rates = {"a": 1000, "b": 300, "c": 0}
-    got = mixture_sample(ds, "s", "k", rates).to_pandas()
+
+def test_mixture_sample_exact_arithmetic(ray_session, sf_smoke):
+    """The per-source mixture (SQL: hash rank < CASE source ... END) keeps
+    exactly the rows a numpy replay of the arithmetic keeps."""
+    import __ray_entry__ as entry
+
+    from terrier_ray.ops.sample import _MULT, _PREMOD
+
+    got = entry.queries()["mixture_sample_documents"](sf_smoke).to_pandas()
+    keys, srcs = _documents(sf_smoke)
+    rates = {"src0": 1000, "src1": 750, "src2": 500, "src3": 250}
     rank = (keys % _PREMOD) * _MULT % 1000
-    exp_keep = np.array([rates[s] for s in srcs]) > rank
-    assert sorted(got["k"]) == sorted(keys[exp_keep].tolist())
-    assert set(got["s"]) == {"a", "b"}  # rate-0 source fully excluded
-
-
-def test_mixture_sample_default_and_clamp(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-
-    from terrier_ray.ops.sample import mixture_sample
-
-    ds = rd.from_arrow(
-        pa.table({"k": list(range(100)), "s": ["x"] * 50 + ["y"] * 50})
-    )
-    # unknown source falls to default; rate > 1000 clamps to keep-all
-    got = mixture_sample(ds, "s", "k", {"x": 5000}, default_permil=1000)
-    assert got.count() == 100
+    exp_keep = np.array([rates.get(s, 100) for s in srcs]) > rank
+    assert sorted(got["doc_id"]) == sorted(keys[exp_keep].tolist())
+    assert 0 < len(got) < len(keys)
 
 
 def test_pack_bins_invariants_and_determinism(ray_session):
@@ -136,27 +127,22 @@ def test_pack_bins_matches_reference_ffd(ray_session):
         assert out.loc[k, "bin_id"] == local  # bucket 0 → no id offset
 
 
-def test_stratified_sample_exact_n_and_arithmetic(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
+def test_stratified_sample_exact_n_and_arithmetic(ray_session, sf_smoke):
+    """QUALIFY row_number() OVER (PARTITION BY source ORDER BY hash rank)
+    <= 5 keeps exactly the 5 lowest-ranked rows of each source."""
+    import __ray_entry__ as entry
 
-    from terrier_ray.ops.sample import _MULT, _PREMOD, stratified_sample
+    from terrier_ray.ops.sample import _MULT, _PREMOD
 
-    n = 900
-    keys = np.arange(n, dtype=np.int64)
-    grp = np.array(["g0", "g1", "g2"], dtype=object)[keys % 3]
-    ds = rd.from_arrow(pa.table({"k": keys, "g": pa.array(grp.tolist())}))
-    got = stratified_sample(ds, "g", "k", 7).to_pandas()
-    assert got.groupby("g").size().to_dict() == {"g0": 7, "g1": 7, "g2": 7}
-    # replay the exact arithmetic
+    got = entry.queries()["stratified_sample_documents"](sf_smoke).to_pandas()
+    keys, grp = _documents(sf_smoke)
     rank = (keys % _PREMOD) * _MULT % 1_000_000_007
     srank = rank * (1 << 31) + (keys % (1 << 31))
     exp = set()
-    for g in ("g0", "g1", "g2"):
+    for g in set(grp):
         m = grp == g
-        exp |= set(keys[m][np.argsort(srank[m], kind="stable")][:7].tolist())
-    assert set(got["k"]) == exp
-    # small group: returns the whole group, not an error
-    ds2 = rd.from_arrow(pa.table({"k": [1, 2], "g": ["a", "a"]}))
-    assert stratified_sample(ds2, "g", "k", 7).count() == 2
+        exp |= set(keys[m][np.argsort(srank[m], kind="stable")][:5].tolist())
+    assert got.groupby("source").size().to_dict() == {
+        g: min(5, int((grp == g).sum())) for g in set(grp)
+    }
+    assert set(got["doc_id"]) == exp

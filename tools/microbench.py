@@ -75,7 +75,7 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
-    from terrier_ray.ops.orderagg import grouped_quantile
+    from terrier_ray.ops.orderagg import grouped_quantiles
     from terrier_ray.ops.relational import (
         grouped_topk,
         broadcast_join,
@@ -143,8 +143,8 @@ def main() -> None:
                 "window_row_number": lambda: windowed(
                     ds0, ["k"], ["v"], [("row_number", None, "rn")]
                 ).count(),
-                "grouped_median": lambda: grouped_quantile(
-                    ds0, ["k"], "w", 0.5, "m"
+                "grouped_median": lambda: grouped_quantiles(
+                    ds0, ["k"], [("percentile_cont", "w", 0.5, "m")]
                 ).count(),
                 "window_moving_avg": lambda: windowed(
                     ds0, ["k"], ["v"], [("moving_avg", "w", "ma", 8)]
@@ -199,27 +199,23 @@ def main() -> None:
         )
 
         # exact-dedup shape: min+count grouped on a ~one-distinct-per-row
-        # hash key — the high-NDV regime where the native sort-shuffle
+        # hash key — the high-NDV regime where Ray's native sort-shuffle
         # groupby cost grows with cardinality while the bucket path doesn't
         th = t.append_column(
             "h", pa.array(np.random.default_rng(3).permutation(n))
         )
         ds_h = rd.from_arrow(th)
-        for variant in ("bucket", "ray"):
-            record(
-                f"exact_dedup_{variant}",
-                n,
-                {"n_keys": n},
-                timed(
-                    lambda v=variant: grouped_aggregate(
-                        ds_h,
-                        ["h"],
-                        [("min", "w", "mn"), ("count", "w", "c")],
-                        shuffle=v,
-                    ).count(),
-                    args.repeat,
-                ),
-            )
+        record(
+            "exact_dedup_bucket",
+            n,
+            {"n_keys": n},
+            timed(
+                lambda: grouped_aggregate(
+                    ds_h, ["h"], [("min", "w", "mn"), ("count", "w", "c")]
+                ).count(),
+                args.repeat,
+            ),
+        )
 
     print(json.dumps(out))
     from terrier_ray.raycompat import quiesce_ray_data_stats
