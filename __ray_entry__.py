@@ -94,7 +94,7 @@ _SQL_TEXT = [
     # integer //, date parts, INTERVAL literals, DATEDIFF, windows over
     # expressions, QUALIFY, simple CASE, VALUES lists, MEDIAN /
     # QUANTILE_CONT / STRING_AGG, string, regex and JSON builtins
-    "math_functions", "take_until_budget", "date_functions2",
+    "math_functions", "date_functions2",
     "median_order_value", "p90_order_value", "events_watermark",
     "sessionize", "math_functions3",
     "window_order_gap_days", "window_moving_spend", "window_running_spend",

@@ -54,7 +54,7 @@ from terrier_ray.ops.relational import (
     sort_limit,
     with_columns,
 )
-from terrier_ray.ops.window import windowed
+from terrier_ray.ops.window import first_rows, windowed
 
 
 def _lit_value(e: Mapping[str, Any]):
@@ -472,6 +472,11 @@ def build(spec: Mapping[str, Any], sf_dir: str, _ctx=None):
                 num_partitions=op.get("num_partitions", 32),
             )
         elif kind == "window":
+            if "top" in op:
+                ds = first_rows(
+                    ds, op["partition_by"], op["order_by"], op["top"],
+                    descending=op.get("descending", False),
+                )
             ds = windowed(
                 ds,
                 op["partition_by"],
@@ -592,6 +597,7 @@ def explain(spec: Mapping[str, Any], indent: str = "") -> str:
         elif kind == "window":
             lines.append(
                 f"{indent}Window part={op['partition_by']} specs={[s[0] for s in op['specs']]}"
+                + (f" top={op['top']} (map-side prune)" if "top" in op else "")
             )
         elif kind == "sort":
             lines.append(

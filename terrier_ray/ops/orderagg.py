@@ -124,41 +124,3 @@ def grouped_quantiles(
         .map_groups(per_bucket, batch_format="pyarrow")
     )
 
-
-def grouped_string_agg(
-    ds,
-    keys: Sequence[str],
-    col: str,
-    sep: str,
-    alias: str,
-    order_by: Sequence[str] | None = None,
-    num_partitions: int = 32,
-):
-    """STRING_AGG(col, sep ORDER BY order_by) per ``keys`` group, fully
-    vectorized per bucket (Arrow group_by list-collect + binary_join)."""
-    keys = list(keys)
-    order_by = list(order_by) if order_by else [col]
-
-    def per_bucket(group: pa.Table) -> pa.Table:
-        t = group.drop_columns(["__qbucket"]).sort_by(
-            [(k, "ascending") for k in keys] + [(o, "ascending") for o in order_by]
-        )
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    **{k: t.column(k) for k in keys},
-                    alias: pa.array([], type=pa.string()),
-                }
-            )
-        # arrow group_by preserves within-group encounter order for "list"
-        agg = t.select(keys + [col]).group_by(keys, use_threads=False).aggregate(
-            [(col, "list")]
-        )
-        joined = pc.binary_join(agg.column(f"{col}_list"), sep)
-        return agg.drop_columns([f"{col}_list"]).append_column(alias, joined)
-
-    return (
-        _tagged(ds, keys, num_partitions)
-        .groupby("__qbucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )

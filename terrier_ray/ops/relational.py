@@ -148,7 +148,8 @@ def broadcast_join(
     ``small`` is put in the object store ONCE; every map task reads it
     zero-copy and runs an Arrow (Acero) hash join per batch.  No shuffle —
     this is the IndexNLJoin/broadcast analog for small sides.
-    join_type: inner | left outer | left semi | left anti.
+    join_type: inner | left outer | left semi | left anti.  Build keys are
+    cast to the probe keys' types, as ``partitioned_join`` does.
     """
     import ray
 
@@ -158,6 +159,13 @@ def broadcast_join(
 
     def apply(batch: pa.Table) -> pa.Table:
         right = _get_broadcast(ref)
+        for lk, rk in zip(keys, rkeys):
+            typ = batch.schema.field(lk).type
+            if right.schema.field(rk).type != typ:
+                right = right.set_column(
+                    right.schema.get_field_index(rk), rk,
+                    pc.cast(right.column(rk), typ),
+                )
         return batch.join(
             right, keys=keys, right_keys=rkeys, join_type=join_type
         )

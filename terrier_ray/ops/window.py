@@ -74,6 +74,43 @@ def _change_mask(table: pa.Table, cols: Sequence[str]) -> np.ndarray:
     return mask
 
 
+def _sort_keys(partition_by, order_by, descending) -> list[tuple[str, str]]:
+    if isinstance(descending, bool):
+        descending = [descending] * len(order_by)
+    return [(k, "ascending") for k in partition_by] + [
+        (k, "descending" if d else "ascending")
+        for k, d in zip(order_by, descending)
+    ]
+
+
+def first_rows(
+    ds,
+    partition_by: Sequence[str],
+    order_by: Sequence[str],
+    n: int,
+    descending: bool | Sequence[bool] = False,
+):
+    """Drop each row whose ROW_NUMBER within its BATCH's part of its
+    partition exceeds ``n`` — the map-side prune under ``QUALIFY
+    ROW_NUMBER() ... <= n``.  A row among the first ``n`` of its whole
+    partition is among the first ``n`` of its batch, and so are all rows
+    before it, so a later ``windowed`` row_number keeps its exact value for
+    every such row; the shuffle then carries at most n rows per partition
+    per batch instead of the input (the reference sorter's per-thread top-k
+    heaps, sorter.h:126-140)."""
+    partition_by = list(partition_by)
+    sort_keys = _sort_keys(partition_by, order_by, descending)
+
+    def prune(batch: pa.Table) -> pa.Table:
+        t = batch.sort_by(sort_keys)
+        idx = np.arange(t.num_rows, dtype=np.int64)
+        starts = _change_mask(t, partition_by)
+        seg_start = np.maximum.accumulate(np.where(starts, idx, 0))
+        return t.filter(pa.array(idx - seg_start < n))
+
+    return ds.map_batches(prune, batch_format="pyarrow", zero_copy_batch=True)
+
+
 def windowed(
     ds,
     partition_by: Sequence[str],
@@ -114,12 +151,7 @@ def windowed(
     for kind, _col, _alias, _param in specs:
         if kind not in KINDS:
             raise ValueError(f"unknown window kind {kind!r}")
-    if isinstance(descending, bool):
-        descending = [descending] * len(order_by)
-    sort_keys = [(k, "ascending") for k in partition_by] + [
-        (k, "descending" if d else "ascending")
-        for k, d in zip(order_by, descending)
-    ]
+    sort_keys = _sort_keys(partition_by, order_by, descending)
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column(

@@ -5,20 +5,29 @@ curation tier; these extend SURVEY §2's LLM-pipeline operators):
 
 - ``take_until_budget``: keep the highest-value documents (by ``n_chars``,
   ties by doc_id) until a global token/char budget is exhausted — the
-  "select the best N tokens" step of a data-mixing recipe; its running-sum
-  window SQL runs through ``sql.sql``.
+  "select the best N tokens" step of a data-mixing recipe, SQL-oracled
+  against a running-sum window.
 - ``duplicated_ngram_stats``: per-document count of word-5-gram instances
   whose gram also occurs in ANOTHER document — the corpus-internal
   repeated-substring signal of Lee et al., "Deduplicating Training Data
   Makes Language Models Better" (2022), reduced to fixed-length n-grams.
 
-Scale posture: the n-gram pass is ONE gram-keyed exchange: each hash
-bucket sees all instances of its grams, so document frequency, the dup
-flag, and the per-document PARTIAL sums all happen inside the bucket task;
-only doc-level partials (two ints per doc per bucket) reach the final small
-groupby.  At 1e12 docs you would exchange a 16-byte gram hash instead of
-the gram string (same plan, constant-factor cheaper); the oracled entry
-keys on the string so the DuckDB comparison is exact by construction.
+Scale posture is the point of both:
+
+- A naive budget cut is a GLOBAL SORT + prefix scan over every row.  Here
+  it is (1) one tiny grouped count by ``n_chars`` value (NDV ≤ max doc
+  length, corpus-size-independent) from which the driver derives the exact
+  budget arithmetic, and (2) one hash-partitioned window pass
+  (ROW_NUMBER within each n_chars value) — the running sum of any row is
+  ``prefix_above[value] + rank_within_value * value``, so no global order
+  is ever imposed.
+- The n-gram pass is ONE gram-keyed exchange: each hash bucket sees all
+  instances of its grams, so document frequency, the dup flag, and the
+  per-document PARTIAL sums all happen inside the bucket task; only
+  doc-level partials (two ints per doc per bucket) reach the final small
+  groupby.  At 1e12 docs you would exchange a 16-byte gram hash instead of
+  the gram string (same plan, constant-factor cheaper); the oracled entry
+  keys on the string so the DuckDB comparison is exact by construction.
 """
 
 from __future__ import annotations
@@ -33,8 +42,59 @@ from terrier_ray.ops.relational import (
 )
 
 #: Budget for take_until_budget, as an integer fraction of total corpus
-#: chars (3/10) — scale-invariant.
+#: chars (3/10) — scale-invariant, mirrored verbatim in the SQL oracle.
 _BUDGET_NUM, _BUDGET_DEN = 3, 10
+
+
+def take_until_budget(sf_dir: str):
+    """Keep documents in (n_chars DESC, doc_id ASC) order while the running
+    total of ``n_chars`` stays within 3/10 of the corpus total.
+
+    Returns (doc_id, n_chars, cum_chars) for every kept document, where
+    cum_chars is the SQL running sum ``SUM(n_chars) OVER (ORDER BY n_chars
+    DESC, doc_id)`` — computed distributedly as prefix_above + rank*value
+    (see module docstring), integer arithmetic end to end.
+    """
+    import ray
+
+    from terrier_ray.ops.window import windowed
+
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
+    docs = docs.materialize()  # consumed twice (histogram + window pass)
+
+    hist = pa.concat_tables(
+        grouped_aggregate(
+            docs, ["n_chars"], [("count", "doc_id", "n_docs")]
+        ).iter_batches(batch_size=None, batch_format="pyarrow")
+    )
+    vals = hist.column("n_chars").to_numpy(zero_copy_only=False)
+    cnts = hist.column("n_docs").to_numpy(zero_copy_only=False)
+    order = np.argsort(-vals)  # values are distinct post-groupby
+    vals, cnts = vals[order], cnts[order]
+    mass = vals * cnts
+    total = int(mass.sum())
+    budget = (_BUDGET_NUM * total) // _BUDGET_DEN
+    # prefix_above[i] = total chars of all docs with n_chars > vals[i]
+    prefix_above = np.concatenate(([0], np.cumsum(mass)[:-1]))
+    # ascending copies for the vectorized searchsorted lookup inside tasks
+    lut_vals = vals[::-1].copy()
+    lut_prefix = prefix_above[::-1].copy()
+    lut_ref = ray.put((lut_vals, lut_prefix, budget))
+
+    ranked = windowed(
+        docs, ["n_chars"], ["doc_id"], [("row_number", None, "__rn")]
+    )
+
+    def finish(batch: pa.Table) -> pa.Table:
+        lv, lp, b = ray.get(lut_ref)
+        nc = batch.column("n_chars").to_numpy(zero_copy_only=False)
+        rn = batch.column("__rn").to_numpy(zero_copy_only=False)
+        cum = lp[np.searchsorted(lv, nc)] + rn * nc
+        keep = cum <= b
+        out = batch.drop_columns(["__rn"]).filter(pa.array(keep))
+        return out.append_column("cum_chars", pa.array(cum[keep]))
+
+    return ranked.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
 _NGRAM_N = 5
@@ -126,6 +186,7 @@ def duplicated_ngram_stats(sf_dir: str, n: int = _NGRAM_N, num_partitions: int =
 
 
 QUERIES = {
+    "take_until_budget": take_until_budget,
     "duplicated_ngram_stats": duplicated_ngram_stats,
 }
 

@@ -21,6 +21,7 @@ float64 exactly as DuckDB's HUGEINT lands in pandas, and AND/OR are Kleene.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Mapping, Optional
 
 import pyarrow as pa
@@ -727,11 +728,18 @@ class _Lowerer:
             return {"fn": "split_pattern_regex", "args": la[:1],
                     "options": {"pattern": _lit_arg(e, 1, str)}}
         if name == "REGEXP_REPLACE":
-            glob = len(args) > 3 and "g" in _lit_arg(e, 3, str)
+            flags = _lit_arg(e, 3, str) if len(args) > 3 else ""
+            if flags not in ("", "g"):
+                raise ValueError(
+                    f"unsupported REGEXP_REPLACE options {flags!r}: only 'g'")
+            glob = flags == "g"
             return {"fn": "replace_substring_regex", "args": la[:1],
                     "options": {"pattern": _lit_arg(e, 1, str),
                                 "replacement": _lit_arg(e, 2, str),
                                 "max_replacements": None if glob else 1}}
+        if name == "JSON_EXTRACT" and not re.fullmatch(
+                r"\$(\.[A-Za-z_]\w*)+", _lit_arg(e, 1, str)):
+            raise ValueError("JSON_EXTRACT supports only '$.key.key' paths")
         if name in ("CBRT", "ASCII", "CHR", "JSON_EXTRACT"):
             return {"fn": name.lower(), "args": la}  # api._KERNELS
         if name == "DATE_TRUNC":
@@ -1008,13 +1016,22 @@ def _lower_windows(
                 if not wf.args:
                     raise ValueError(f"{wf.func} requires a column argument")
                 specs.append([kind, phys(wf.args[0]), name])
-        ops.append({
+        op = {
             "op": "window",
             "partition_by": partition,
             "order_by": order,
             "specs": specs,
             "descending": desc,
-        })
+        }
+        # QUALIFY ROW_NUMBER() ... <= n as the only window: prune each batch
+        # to its first n rows per partition before the shuffle
+        if len(groups) == 1 and len(fns) == 1 and fns[0][0].func == "row_number":
+            for c in _conjuncts(sel.qualify):
+                if (isinstance(c, BinOp) and c.op in ("<=", "<")
+                        and c.left == fns[0][0] and isinstance(c.right, Lit)
+                        and type(c.right.value) is int):
+                    op["top"] = c.right.value - (c.op == "<")
+        ops.append(op)
 
 
 def _cols_in(e: Expr, out: set[str]) -> None:
@@ -1485,6 +1502,8 @@ def lower(sel: "Select | SetOpStmt", catalog: Catalog) -> Mapping[str, Any]:
         if sel.joins or sel.group_by or sel.distinct:
             raise ValueError("SELECT * only supported over a single table")
         out_cols = catalog.columns(tables[0][0])
+        if sel.qualify is not None:  # drop QUALIFY's window columns
+            ops.append({"op": "project", "columns": out_cols})
         spec = {"scan": _scan_node(catalog, tables[0][0]), "ops": ops}
         _append_order_limit(spec, sel, out_cols, {}, lo)
         return spec

@@ -11,6 +11,7 @@ from terrier_ray.pipelines.selection import (
     _BUDGET_NUM,
     _gram_stream,
     duplicated_ngram_stats,
+    take_until_budget,
 )
 
 
@@ -21,10 +22,8 @@ def _collect(ds) -> pd.DataFrame:
 
 
 def test_take_until_budget_matches_naive(ray_session, sf_smoke):
-    import __ray_entry__ as entry
-
     got = (
-        _collect(entry.queries()["take_until_budget"](sf_smoke))
+        _collect(take_until_budget(sf_smoke))
         .sort_values("doc_id")
         .reset_index(drop=True)
     )

@@ -112,6 +112,10 @@ HAND_BUILT = {
     "funnel_click_purchase": "the SQL self-join plus DISTINCT runs three "
     "exchanges against the hand pipeline's one; measured 2.9x slower at "
     "sf0.01",
+    "take_until_budget": "its running SUM OVER (ORDER BY ...) has no "
+    "PARTITION BY, so the window op would sort every document in one task; "
+    "the hand pipeline derives the same running sum from an n_chars "
+    "histogram plus a window partitioned by n_chars, never a global order",
     "sql_update_roundtrip": "exercises UPDATE on a snapshot store; the "
     "oracle is the SELECT that checks the result",
     "sql_param_segment_counts": "exercises $n parameter binding",
@@ -478,6 +482,16 @@ E2E = [
     # a VALUES list as the scanned table
     """SELECT k, tag, k * 2 AS k2 FROM (VALUES (1, 'a'), (3, 'b'), (2, NULL))
        AS v(k, tag) WHERE k > 1 ORDER BY k""",
+    # a VALUES list joined on an int32 key (BIGINT literals)
+    """SELECT k, tag, n_name FROM (VALUES (1, 'a'), (7, 'b'), (99, 'c'))
+       AS v(k, tag) JOIN nation ON k = n_nationkey""",
+    # SELECT * with QUALIFY returns only the table's columns; the literal
+    # bound prunes each batch before the window shuffle
+    """SELECT * FROM orders
+       QUALIFY ROW_NUMBER() OVER (PARTITION BY o_orderpriority
+                                  ORDER BY o_totalprice DESC, o_orderkey) <= 3""",
+    """SELECT * FROM nation
+       QUALIFY ROW_NUMBER() OVER (ORDER BY n_name DESC) < 4""",
     # string, regex and JSON builtins
     """SELECT c_custkey, REPEAT(c_mktsegment, 2) AS rp,
               STARTS_WITH(c_name, 'Customer#0') AS sw,
@@ -561,6 +575,30 @@ def test_explain_shows_values_scan(sf_smoke):
     text = explain("SELECT n_name, off FROM nation, "
                    "(VALUES (0), (1)) AS v(off)", sf_smoke)
     assert "values rows=2" in text
+
+
+def test_qualify_row_number_bound_prunes_before_window(catalog):
+    def window_op(q):
+        ops = lower(parse(q), catalog)["ops"]
+        return next(o for o in ops if o["op"] == "window")
+
+    base = ("SELECT * FROM orders QUALIFY ROW_NUMBER() OVER "
+            "(PARTITION BY o_custkey ORDER BY o_orderkey)")
+    assert window_op(base + " <= 2")["top"] == 2
+    assert window_op(base + " < 2")["top"] == 1
+    # a non-literal bound, or a second window, reads every row
+    assert "top" not in window_op(base + " <= o_custkey")
+    assert "top" not in window_op(
+        "SELECT o_orderkey, LAG(o_orderkey) OVER (ORDER BY o_orderkey) AS p "
+        "FROM orders QUALIFY ROW_NUMBER() OVER (PARTITION BY o_custkey "
+        "ORDER BY o_orderkey) <= 2")
+
+
+def test_unsupported_builtin_arguments_rejected(catalog):
+    for q in ("SELECT REGEXP_REPLACE(c_name, 'c', 'x', 'gi') AS r FROM customer",
+              "SELECT JSON_EXTRACT(c_name, '$.a[0]') AS j FROM customer"):
+        with pytest.raises(ValueError):
+            lower(parse(q), catalog)
 
 
 def test_not_in_list_null_operand_drops_row(ray_session, tmp_root):
