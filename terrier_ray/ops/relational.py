@@ -886,40 +886,22 @@ def grouped_topk(
     descending: bool = True,
     num_partitions: int = 32,
 ):
-    """Top-n rows per key group — with a MAP-SIDE PRUNE the window-function
-    formulation cannot do: each batch keeps at most n candidates per key
-    BEFORE the shuffle (a per-batch vectorized lexsort + segment head), so
-    the exchange carries O(n · keys · batches) candidate rows instead of the
+    """Top-n rows per key group — with a MAP-SIDE PRUNE
+    (``ops.window.first_rows``) that a bare window function cannot do: each
+    batch keeps at most n candidates per key BEFORE the shuffle (a
+    per-batch vectorized lexsort + segment head), so the exchange carries O(n · keys · batches) candidate rows instead of the
     whole input; the per-bucket reduce applies the same kernel once more for
     the exact result.  Reference analog: Sorter top-k heaps per thread +
     merge (sorter.h:126-140, sorter.cpp:424).  Ties broken by whatever
     order the sort is given — add a unique column to ``keys``' sort for
     determinism (the SQL mirror is ROW_NUMBER OVER (PARTITION BY keys ORDER
-    BY sort_col [DESC]) <= n with the same tiebreak)."""
+    BY sort_col [DESC]) <= n with the same tiebreak, which the SQL
+    front-end lowers to the same prune); NULL keys form one group."""
+    from terrier_ray.ops.window import _head_rows, _sort_keys, first_rows
+
     keys = list(keys)
-
-    def local_prune(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        order = [(k, "ascending") for k in keys] + [
-            (sort_col, "descending" if descending else "ascending")
-        ]
-        t = batch.sort_by(order)
-        # segment starts over keys
-        nrows = t.num_rows
-        change = np.zeros(nrows, dtype=bool)
-        change[0] = True
-        for k in keys:
-            arr = t.column(k).combine_chunks()
-            neq = pc.fill_null(
-                pc.not_equal(arr.slice(1), arr.slice(0, nrows - 1)), True
-            )
-            change[1:] |= neq.to_numpy(zero_copy_only=False)
-        idx = np.arange(nrows, dtype=np.int64)
-        seg_start = np.maximum.accumulate(np.where(change, idx, 0))
-        return t.filter(pa.array(idx - seg_start < n))
-
-    pruned = ds.map_batches(local_prune, batch_format="pyarrow", zero_copy_batch=True)
+    sort_keys = _sort_keys(keys, [sort_col], descending)
+    pruned = first_rows(ds, keys, [sort_col], n, descending=descending)
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -928,7 +910,7 @@ def grouped_topk(
         )
 
     def final(group: pa.Table) -> pa.Table:
-        return local_prune(group.drop_columns(["__tbucket"]))
+        return _head_rows(group.drop_columns(["__tbucket"]), keys, sort_keys, n)
 
     return (
         pruned.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)

@@ -102,13 +102,19 @@ def first_rows(
     sort_keys = _sort_keys(partition_by, order_by, descending)
 
     def prune(batch: pa.Table) -> pa.Table:
-        t = batch.sort_by(sort_keys)
-        idx = np.arange(t.num_rows, dtype=np.int64)
-        starts = _change_mask(t, partition_by)
-        seg_start = np.maximum.accumulate(np.where(starts, idx, 0))
-        return t.filter(pa.array(idx - seg_start < n))
+        return _head_rows(batch, partition_by, sort_keys, n)
 
     return ds.map_batches(prune, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _head_rows(table: pa.Table, partition_by, sort_keys, n: int) -> pa.Table:
+    """The first ``n`` rows of each ``partition_by`` group of ``table``
+    under ``sort_keys`` (partition keys first)."""
+    t = table.sort_by(sort_keys)
+    idx = np.arange(t.num_rows, dtype=np.int64)
+    starts = _change_mask(t, partition_by)
+    seg_start = np.maximum.accumulate(np.where(starts, idx, 0))
+    return t.filter(pa.array(idx - seg_start < n))
 
 
 def windowed(
