@@ -18,7 +18,6 @@ Everything derives from ``numpy.random.default_rng(seed)`` — same
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import datetime as _dt
 
@@ -27,6 +26,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from terrier_ray.extract.html import extract_text_reference
+from terrier_ray.state.manifest import fingerprint, run_epoch
 
 WEBTEXT_SCHEMA = pa.schema(
     [
@@ -172,38 +172,30 @@ def generate_webtext_parquet(
     seed: int = 42,
     shard_rows: int = 20_000,
 ) -> str:
-    """Write a sharded webtext corpus; idempotent (meta-checked cache)."""
-    meta_path = os.path.join(out_dir, "_meta.json")
-    meta = {"num_docs": num_docs, "seed": seed, "shard_rows": shard_rows, "v": 3}
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            if json.load(f) == meta:
-                return out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    for f in os.listdir(out_dir):
-        if f.endswith(".parquet"):
-            os.remove(os.path.join(out_dir, f))
-    rng = np.random.default_rng(seed)
-    vocab = _make_vocab(rng)
-    probs = _zipf_probs(len(vocab))
-    shard_id = 0
-    remaining = num_docs
-    while remaining > 0:
-        n = min(shard_rows, remaining)
-        table = _generate_shard(rng, vocab, probs, n, shard_id)
-        # small row groups: Ray's parquet reader splits at row-group
-        # granularity, so one-row-group shards cap read (and therefore
-        # extract/tokenize) parallelism at the file count — 12 files was
-        # the measured scaling ceiling for the 240k-doc corpus at 16+ cpus
-        pq.write_table(
-            table,
-            os.path.join(out_dir, f"part-{shard_id:05d}.parquet"),
-            row_group_size=2048,
-        )
-        remaining -= n
-        shard_id += 1
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
+    """Write a sharded webtext corpus; idempotent (one fingerprinted epoch,
+    state/manifest.run_epoch)."""
+
+    def generate():
+        for f in os.listdir(out_dir):
+            if f.endswith(".parquet"):
+                os.remove(os.path.join(out_dir, f))
+        rng = np.random.default_rng(seed)
+        vocab = _make_vocab(rng)
+        probs = _zipf_probs(len(vocab))
+        parts = []
+        for shard_id, start in enumerate(range(0, num_docs, shard_rows)):
+            n = min(shard_rows, num_docs - start)
+            table = _generate_shard(rng, vocab, probs, n, shard_id)
+            parts.append(os.path.join(out_dir, f"part-{shard_id:05d}.parquet"))
+            # small row groups: Ray's parquet reader splits at row-group
+            # granularity, so one-row-group shards cap read (and therefore
+            # extract/tokenize) parallelism at the file count — 12 files was
+            # the measured scaling ceiling for the 240k-doc corpus at 16+ cpus
+            pq.write_table(table, parts[-1], row_group_size=2048)
+        return parts, {"rows": num_docs}
+
+    inputs = fingerprint([], num_docs=num_docs, seed=seed, shard_rows=shard_rows, v=3)
+    run_epoch(out_dir, "webtext", inputs, generate)
     return out_dir
 
 

@@ -132,14 +132,3 @@ class TitleExtractor:
         keep = [c for c in batch.column_names if c not in ("html", "text")]
         result = batch.select(keep)
         return result.append_column("text", pa.array(out, type=pa.string()))
-
-
-def extract_batch_invariant(batch: pa.Table) -> pa.Table:
-    """Test helper: (url, text_ref) for every row, ignoring any pre-set text."""
-    texts = [extract_text_reference(h) for h in batch.column("html").to_pylist()]
-    return pa.table(
-        {
-            "url": batch.column("url"),
-            "text_ref": pa.array(texts, type=pa.string()),
-        }
-    )

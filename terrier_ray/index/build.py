@@ -1,8 +1,9 @@
 """Inverted-index build: the CREATE INDEX analog, Ray-Data-first.
 
-Resumable epochs (terrier_ray.state.manifest), run by ``build_index``'s one
-epoch runner: each epoch's outputs are committed by a manifest written
-last, so a killed run restarts from the last committed epoch:
+Resumable epochs, run by the one epoch runner
+(``terrier_ray.state.manifest.run_epoch``): each epoch's outputs are
+committed by a manifest written last, so a killed run restarts from the
+last committed epoch:
 
 1. ``corpus``   read webtext → HtmlExtractor → Tokenizer → url-dedup
                 (keep latest warc_ts) → tokenized corpus parquet
@@ -45,8 +46,6 @@ import glob
 import hashlib
 import json
 import os
-import shutil
-import time
 
 import numpy as np
 import pyarrow as pa
@@ -60,7 +59,7 @@ from terrier_ray.index.codec import (
     decode_posting_list,
     varbyte_encode,
 )
-from terrier_ray.state.manifest import epoch_done, finish_epoch
+from terrier_ray.state.manifest import fingerprint, run_epoch
 from terrier_ray.text.tokenize import Tokenizer
 
 #: container fmt tag for the verbatim fast path (codec._FMT_VBYTE)
@@ -129,15 +128,6 @@ def _scan_blocks(path: str, per_cpu: int = 2, floor_files: bool = True) -> int |
     if not floor_files:
         return per_cpu * cpus
     return max(n_files, per_cpu * cpus)
-
-
-def _input_fingerprint(path: str, extra: dict | None = None) -> dict:
-    files = sorted(glob.glob(os.path.join(path, "*.parquet")))
-    return {
-        "path": path,
-        "files": [[os.path.basename(f), os.path.getsize(f)] for f in files],
-        **(extra or {}),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1769,25 +1759,12 @@ def build_index(
         fp_extra["positions"] = True
     if field != "body":  # ditto: body-field fingerprints unchanged
         fp_extra["field"] = field
-    fp_in = _input_fingerprint(webtext_path, fp_extra)
     timings: dict[str, float] = {}
 
     def epoch(name: str, inputs: dict, run, clear: "tuple[str, ...]" = ()) -> None:
-        """Run one resumable epoch unless its manifest verifies.
-
-        ``clear`` dirs are removed first; ``run()`` returns the epoch's
-        (outputs, metrics).  The manifest is written last, so a killed run
-        restarts from the last committed epoch; the wall time lands in
-        ``timings["<name>_s"]`` only when the epoch ran."""
-        if not force and epoch_done(out_dir, name, inputs):
-            return
-        t0 = time.perf_counter()
-        for d in clear:
-            shutil.rmtree(d, ignore_errors=True)
-        outputs, metrics = run()
-        wall = time.perf_counter() - t0
-        finish_epoch(out_dir, name, inputs, outputs, metrics, wall)
-        timings[f"{name}_s"] = wall
+        wall = run_epoch(out_dir, name, inputs, run, clear=clear, force=force)
+        if wall is not None:  # timings list only the epochs that ran
+            timings[f"{name}_s"] = wall
 
     def corpus_epoch():
         build_corpus(webtext_path, corpus_dir, batch_size=batch_size,
@@ -1798,7 +1775,7 @@ def build_index(
     # derived sidecars are corpus-derived: a corpus rebuild must take them
     # down too, or a later docvalues=False build serves STALE attribute
     # pages through has_docvalues
-    epoch("corpus", fp_in, corpus_epoch, clear=(
+    epoch("corpus", fingerprint([webtext_path], **fp_extra), corpus_epoch, clear=(
         corpus_dir,
         os.path.join(out_dir, "docvalues"),
         os.path.join(out_dir, "docvalues_ts"),
@@ -1844,7 +1821,7 @@ def build_index(
     # postings are built from this epoch's heavy terms and salts, and the
     # postings epoch adds its fields to stats.json: a re-run of the stats
     # epoch takes the postings down with it, so they re-run too
-    epoch("stats", _input_fingerprint(corpus_dir, {"params": params}), stats_epoch,
+    epoch("stats", fingerprint([corpus_dir], params=params), stats_epoch,
           clear=(postings_dir,))
     with open(stats_path) as f:
         stats = json.load(f)
@@ -1877,7 +1854,7 @@ def build_index(
             outputs = [os.path.join(side_dir, p["file"]) for p in meta["parts"]]
             return outputs + [os.path.join(side_dir, "meta.json")], {"n": meta["n"]}
 
-        epoch(name, _input_fingerprint(corpus_dir, fp_extra), sidecar_epoch,
+        epoch(name, fingerprint([corpus_dir], **fp_extra), sidecar_epoch,
               clear=(side_dir,))
 
     def postings_epoch():
@@ -1893,6 +1870,8 @@ def build_index(
         os.replace(stats_path + ".tmp", stats_path)
         outputs = sorted(glob.glob(os.path.join(postings_dir, "bucket-*.parquet")))
         outputs += sorted(glob.glob(os.path.join(postings_dir, "posbucket-*.parquet")))
+        # relative, like the manifests: the index dir can move
+        bucket_metrics["file"] = [os.path.relpath(f, out_dir) for f in bucket_metrics["file"]]
         bucket_metrics.to_parquet(os.path.join(out_dir, "bucket_metrics.parquet"))
         return outputs, {
             "buckets": len(outputs),
@@ -1905,7 +1884,7 @@ def build_index(
     # epoch 3: postings
     epoch(
         "postings",
-        _input_fingerprint(corpus_dir, {"params": params, "stage": "postings"}),
+        fingerprint([corpus_dir], params=params, stage="postings"),
         postings_epoch,
         clear=(postings_dir,),
     )

@@ -3,14 +3,14 @@
 - ``add_segment`` / ``ingest_snapshot_delta``: ingest a new webtext batch
   (or the part files a snapshot INSERT appended) as a DELTA index next to
   the existing segments — no monolithic rebuild.
-- ``tombstone_snapshot_delete`` / ``build_tombstones``: a snapshot DELETE
-  becomes a tombstone sidecar with EXACT stat deltas (per-term df, dl sum,
-  doc count — mined from the segments' own corpus epochs), applied by
-  ``SegmentedBM25`` at query time.
-- ``sync_snapshot_dml``: the general content diff — INSERT/UPDATE/DELETE
-  in one version step become (delta segment, tombstone); an UPDATE is
+- ``sync_snapshot_dml``: the content diff — INSERT/UPDATE/DELETE in one
+  version step become (delta segment, tombstone); an UPDATE is
   delete+insert with the same docid, handled by per-segment tombstone
   scoping.
+- ``build_tombstones``: deleted docids become a tombstone sidecar with
+  EXACT stat deltas (per-term df, dl sum, doc count — mined from the
+  segments' own corpus epochs), applied by ``SegmentedBM25`` at query
+  time.
 - ``compact_segments``: merge N segments back into one index by building
   over the union corpus (run when query-time fan-out across segments starts
   to hurt — the Lucene-style merge policy, applied batch-wise).
@@ -115,35 +115,6 @@ def ingest_snapshot_delta(
             os.symlink(os.path.abspath(f), link)
     build_index(corpus, seg_dir, **build_kwargs)
     return seg_dir
-
-
-def deleted_docids_between(
-    snapshot_root: str, from_version: int, to_version: "int | None" = None
-) -> np.ndarray:
-    """Docids REMOVED between two snapshot versions (sorted int64).
-
-    A snapshot DELETE is a filtered rewrite (every part file changes), so
-    the removed set is the url-hash setdiff between the two versions — a
-    pruned url-column-only scan of each, the same metadata-scale pass
-    ``build_corpus``'s duplicate detection makes.  At 1e12 docs this becomes
-    the per-block partial ``np.unique`` merge (index/build.py pass 1) or a
-    distributed anti-join; a DELETE batch itself is bounded by the
-    statement's selectivity, which is what the tombstone stores."""
-    import pyarrow.dataset as pads
-
-    from terrier_ray.datagen.webtext import url_doc_id
-    from terrier_ray.state import snapshots
-
-    if to_version is None:
-        to_version = snapshots.current_version(snapshot_root)
-
-    def _ids(v: int) -> np.ndarray:
-        tab = pads.dataset(
-            snapshots.snapshot_dir(snapshot_root, v)
-        ).to_table(columns=["url"])
-        return np.unique(url_doc_id(tab.column("url")).astype(np.int64))
-
-    return np.setdiff1d(_ids(from_version), _ids(to_version), assume_unique=True)
 
 
 def build_tombstones(
@@ -288,37 +259,6 @@ def _dead_by_seg(tombstone_dirs: "list[str]") -> "dict[str, np.ndarray]":
                         tab.column("docid").to_pylist()):
             raw.setdefault(s, []).append(int(d))
     return {s: np.unique(np.array(v, dtype=np.int64)) for s, v in raw.items()}
-
-
-def tombstone_snapshot_delete(
-    segments_root: str,
-    snapshot_root: str,
-    from_version: int,
-    to_version: "int | None" = None,
-) -> "str | None":
-    """DML → incremental index maintenance for DELETE: tombstone the docids
-    a snapshot DELETE removed between two versions, over every segment
-    currently under ``segments_root``.  The INSERT sibling is
-    ``ingest_snapshot_delta``; together they keep a SegmentedBM25 exactly
-    tracking DML with no monolithic rebuild.  Returns the tombstone dir, or
-    None when the delete removed nothing indexed."""
-    from terrier_ray.state import snapshots
-
-    if to_version is None:
-        to_version = snapshots.current_version(snapshot_root)
-    gone = deleted_docids_between(snapshot_root, from_version, to_version)
-    if not gone.size:
-        return None
-    name = f"tomb-v{from_version:04d}-v{to_version:04d}"
-    others = [t for t in list_tombstones(segments_root)
-              if os.path.basename(t.rstrip("/")) != name]
-    return build_tombstones(
-        segments_root,
-        list_segments(segments_root),
-        gone,
-        name,
-        already_dead=_dead_by_seg(others),
-    )
 
 
 def sync_snapshot_dml(

@@ -296,28 +296,3 @@ def cm_query(
         idx = (_cm_remix(h, _CM_SEEDS[d]) % np.uint64(width)).astype(np.int64)
         est = np.minimum(est, mat[d, idx])
     return est
-
-
-def cm_frequencies(
-    ds, col: str, probes: "list", width: int = 2048, depth: int = 4
-) -> pa.Table:
-    """Distributed point-frequency estimates: one streaming pass building
-    sparse CM partials per batch, one small grouped sum over ≤ depth·width
-    slot keys (state is O(depth·width), independent of input size), then a
-    driver-side min-probe over the dense matrix."""
-    from terrier_ray.ops.relational import grouped_aggregate
-
-    partials = ds.map_batches(
-        lambda b: cm_partials(b.column(col), width, depth),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    merged_ds = grouped_aggregate(partials, ["__slot"], [("sum", "__count", "__count")])
-    merged = pa.concat_tables(
-        merged_ds.iter_batches(batch_size=None, batch_format="pyarrow")
-    )
-    mat = cm_dense(merged, width, depth)
-    probe_arr = pa.array(probes)
-    return pa.table(
-        {"value": probe_arr, "est_count": pa.array(cm_query(mat, probe_arr, width))}
-    )

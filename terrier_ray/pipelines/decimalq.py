@@ -20,29 +20,32 @@ import pyarrow.parquet as pq
 
 from terrier_ray.ops.decimal import read_decimal_table
 from terrier_ray.ops.relational import grouped_aggregate, with_columns
+from terrier_ray.state.manifest import fingerprint, run_epoch
 
 _DEC_COLS = ["l_returnflag", "l_extendedprice", "l_discount", "l_quantity"]
 
 
 def _decimal_lineitem_path(sf_dir: str) -> str:
     """Idempotent per-sf synthesis of the decimal128 lineitem projection,
-    fingerprinted by the source file's (size, mtime) like the index
-    manifests — regenerated testdata never reuses a stale file."""
+    one fingerprinted epoch (state/manifest.run_epoch) — regenerated
+    testdata never reuses a stale file."""
     src = f"{sf_dir.rstrip('/')}/lineitem.parquet"
-    st = os.stat(src)
-    tag = f"{os.path.basename(sf_dir.rstrip('/'))}-{st.st_size}-{int(st.st_mtime)}"
-    out_dir = os.path.join("/tmp", "terrier_ray_decimal")
-    os.makedirs(out_dir, exist_ok=True)
-    out = os.path.join(out_dir, f"lineitem_dec-{tag}.parquet")
-    if os.path.exists(out):
-        return out
-    t = pq.read_table(src, columns=_DEC_COLS)
-    for col in ("l_extendedprice", "l_discount", "l_quantity"):
-        i = t.column_names.index(col)
-        t = t.set_column(i, col, pc.cast(t.column(col), pa.decimal128(12, 2)))
-    tmp = out + ".tmp"
-    pq.write_table(t, tmp)
-    os.replace(tmp, out)  # atomic: concurrent callers see whole files only
+    out_dir = os.path.join(
+        "/tmp/terrier_ray_decimal", os.path.basename(sf_dir.rstrip("/")) or "sf"
+    )
+    out = os.path.join(out_dir, "lineitem_dec.parquet")
+
+    def build():
+        t = pq.read_table(src, columns=_DEC_COLS)
+        for col in ("l_extendedprice", "l_discount", "l_quantity"):
+            i = t.column_names.index(col)
+            t = t.set_column(i, col, pc.cast(t.column(col), pa.decimal128(12, 2)))
+        tmp = out + ".tmp"
+        pq.write_table(t, tmp)
+        os.replace(tmp, out)  # atomic: concurrent readers see whole files only
+        return [out], {"rows": t.num_rows}
+
+    run_epoch(out_dir, "lineitem_dec", fingerprint([src], columns=_DEC_COLS), build)
     return out
 
 

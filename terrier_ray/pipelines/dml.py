@@ -195,11 +195,10 @@ def sql_insert_index_ingest(sf_dir: str):
     score); rows-only (BM25 is not SQL-expressible) — the
     bit-identical-vs-monolithic-rebuild identity is asserted in
     tests/test_state.py."""
-    import pyarrow as pa
     import ray.data as rd
 
     from terrier_ray.datagen.webtext import generate_queries, webtext_for_sf
-    from terrier_ray.index.bm25 import SegmentedBM25
+    from terrier_ray.index.bm25 import SegmentedBM25, hits_table
     from terrier_ray.index.segments import ingest_snapshot_delta
     from terrier_ray.sql import sql_dml
     from terrier_ray.state import snapshots
@@ -229,22 +228,11 @@ def sql_insert_index_ingest(sf_dir: str):
     seg = SegmentedBM25([base_seg, delta_seg])
 
     queries = generate_queries(8)
-    qids, ranks, docids, scores = [], [], [], []
-    for qid, text in zip(
-        queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
-    ):
-        for rank, (d, s) in enumerate(seg.search(text, 10), start=1):
-            qids.append(qid)
-            ranks.append(rank)
-            docids.append(d)
-            scores.append(s)
-    return pa.table(
-        {
-            "query_id": pa.array(qids, type=pa.int32()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "docid": pa.array(docids, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        }
+    return hits_table(
+        (qid, seg.search(text, 10))
+        for qid, text in zip(
+            queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
+        )
     )
 
 
@@ -253,7 +241,7 @@ def sql_delete_index_ingest(sf_dir: str):
     delete_translator.cpp analog (the reference deletes from every index
     inside the DELETE plan): a ``DELETE FROM <webtext store>`` through the
     SQL front-end emits a TOMBSTONE sidecar
-    (index/segments.tombstone_snapshot_delete) carrying exact stat deltas
+    (index/segments.sync_snapshot_dml) carrying exact stat deltas
     mined from the segment's own corpus epoch; SegmentedBM25 applies it at
     query time and stays bit-identical to a rebuild over the remaining docs
     (asserted in tests/test_state.py) — no monolithic rebuild, and no
@@ -263,15 +251,11 @@ def sql_delete_index_ingest(sf_dir: str):
     '/p3'-suffixed pages → v2 → tombstone; query the segmented index.
     Rows: (query_id, rank, docid, score); rows-only (BM25 is not
     SQL-expressible)."""
-    import pyarrow as pa
     import ray.data as rd
 
     from terrier_ray.datagen.webtext import generate_queries, webtext_for_sf
-    from terrier_ray.index.bm25 import SegmentedBM25
-    from terrier_ray.index.segments import (
-        ingest_snapshot_delta,
-        tombstone_snapshot_delete,
-    )
+    from terrier_ray.index.bm25 import SegmentedBM25, hits_table
+    from terrier_ray.index.segments import ingest_snapshot_delta, sync_snapshot_dml
     from terrier_ray.sql import sql_dml
     from terrier_ray.state import snapshots
 
@@ -296,27 +280,16 @@ def sql_delete_index_ingest(sf_dir: str):
         "DELETE FROM webstore WHERE url LIKE '%/p3'", sqlsf, {"webstore": store}
     )
     assert v == 2, f"DELETE snapshot version {v} != 2"
-    tomb = tombstone_snapshot_delete(segroot, store, 1, 2)
+    _, tomb = sync_snapshot_dml(segroot, store, 1, 2)
     assert tomb is not None, "DELETE tombstoned no indexed docs"
     seg = SegmentedBM25([base_seg], tombstone_dirs=[tomb])
 
     queries = generate_queries(8)
-    qids, ranks, docids, scores = [], [], [], []
-    for qid, text in zip(
-        queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
-    ):
-        for rank, (d, s) in enumerate(seg.search(text, 10), start=1):
-            qids.append(qid)
-            ranks.append(rank)
-            docids.append(d)
-            scores.append(s)
-    return pa.table(
-        {
-            "query_id": pa.array(qids, type=pa.int32()),
-            "rank": pa.array(ranks, type=pa.int32()),
-            "docid": pa.array(docids, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        }
+    return hits_table(
+        (qid, seg.search(text, 10))
+        for qid, text in zip(
+            queries.column("query_id").to_pylist(), queries.column("text").to_pylist()
+        )
     )
 
 

@@ -345,50 +345,40 @@ def build_ivf_index(
     (map_batches), and write one parquet partition per cell plus the
     centroid matrix — after this one-time build, a query reads ONLY its
     ``nprobe`` cell files (the posting-bucket pattern applied to vectors).
-    Idempotent per (sf_dir, nlist, input file size/mtime) via a meta
-    manifest written LAST; a stale or partial build (missing manifest or
-    fingerprint mismatch) is removed wholesale before rebuilding — the
-    index/build.py epoch pattern, so a crashed write can never leave
-    duplicate part files and regenerated input can never silently reuse a
-    stale index."""
-    import json
+    Idempotent per (input files, nlist, sample_rows) through the one
+    epoch runner (state/manifest.run_epoch): a stale, partial or corrupt
+    build (fingerprint mismatch, missing or unreadable manifest) is
+    removed wholesale before rebuilding, so a crashed write can never
+    leave duplicate part files and regenerated input can never silently
+    reuse a stale index."""
+    import glob
     import os
-    import shutil
+
+    from terrier_ray.state.manifest import fingerprint, run_epoch
 
     src = f"{sf_dir.rstrip('/')}/embeddings.parquet"
     out_dir = out_dir or os.path.join(
         "/tmp/terrier_ray_ivf", os.path.basename(sf_dir.rstrip("/")) + f"-{nlist}"
     )
-    meta_path = os.path.join(out_dir, "_meta.json")
-    st = os.stat(src)
-    meta = {
-        "sf_dir": sf_dir,
-        "nlist": nlist,
-        "v": 2,
-        "src_bytes": st.st_size,
-        "src_mtime_ns": st.st_mtime_ns,
-    }
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            if json.load(f) == meta:
-                return out_dir
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.makedirs(out_dir, exist_ok=True)
 
-    cent = _kmeans(_sample_matrix(src, sample_rows), nlist)
-    np.save(os.path.join(out_dir, "centroids.npy"), cent)
+    def build():
+        cent = _kmeans(_sample_matrix(src, sample_rows), nlist)
+        np.save(os.path.join(out_dir, "centroids.npy"), cent)
 
-    ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+        ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    def assign(batch: pa.Table) -> pa.Table:
-        cell = _sq_dists_to(_batch_matrix(batch), cent).argmin(axis=1)
-        return batch.append_column("cell", pa.array(cell.astype(np.int32)))
+        def assign(batch: pa.Table) -> pa.Table:
+            cell = _sq_dists_to(_batch_matrix(batch), cent).argmin(axis=1)
+            return batch.append_column("cell", pa.array(cell.astype(np.int32)))
 
-    ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        out_dir, partition_cols=["cell"]
-    )
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
+        ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
+            out_dir, partition_cols=["cell"]
+        )
+        cells = sorted(glob.glob(os.path.join(out_dir, "cell=*", "*.parquet")))
+        return [os.path.join(out_dir, "centroids.npy"), *cells], {"files": len(cells)}
+
+    run_epoch(out_dir, "ivf", fingerprint([src], nlist=nlist, sample_rows=sample_rows),
+              build, clear=(out_dir,))
     return out_dir
 
 

@@ -114,34 +114,27 @@ def register_table_stats(sf_dir: str, table: str, stats: "dict[str, dict]") -> N
     _ANALYZE_STATS[(sf_dir.rstrip("/"), table)] = stats
 
 
-#: Footer-stat memo: path → (file fingerprint, result).  optimize() consults
-#: footers for the same tables many times per plan (build side, join order,
-#: bucket sizing); the fingerprint (name, size, mtime per file — stat calls
-#: only) keeps the cache correct when a table is rewritten between plans.
-_FOOTER_CACHE: "dict[str, tuple[tuple, tuple]]" = {}
+#: Footer-stat memo: path → (state.manifest.fingerprint, result).
+#: optimize() consults footers for the same tables many times per plan
+#: (build side, join order, bucket sizing); the fingerprint (relative name,
+#: size, mtime per file — stat calls only) keeps the cache correct when a
+#: table is rewritten between plans.
+_FOOTER_CACHE: "dict[str, tuple[dict, tuple]]" = {}
 
 
 def _footer_ranges(sf_dir: str, table: str) -> "tuple[int, dict[str, tuple]]":
     """(row_count, {col: (min, max)}) from parquet footer statistics only —
     no data reads.  Columns with missing/truncated stats are omitted."""
-    import glob
-    import os
-
     import pyarrow.parquet as pq
 
+    from terrier_ray.state.manifest import fingerprint, parquet_files
+
     path = f"{sf_dir.rstrip('/')}/{table}.parquet"
-    files = (
-        sorted(glob.glob(os.path.join(path, "**", "*.parquet"), recursive=True))
-        if os.path.isdir(path)
-        else [path]
-    )
-    fp = tuple(
-        (f, st.st_size, st.st_mtime_ns)
-        for f, st in ((f, os.stat(f)) for f in files if os.path.exists(f))
-    )
+    fp = fingerprint([path])
     hit = _FOOTER_CACHE.get(path)
     if hit is not None and hit[0] == fp:
         return hit[1]
+    files = parquet_files(path)
     rows = 0
     rng: dict[str, list] = {}
     bad: set[str] = set()

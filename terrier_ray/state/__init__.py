@@ -1,1 +1,1 @@
-from terrier_ray.state.manifest import EpochManifest, epoch_done, finish_epoch  # noqa: F401
+from terrier_ray.state.manifest import fingerprint, run_epoch  # noqa: F401

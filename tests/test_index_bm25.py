@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from terrier_ray.datagen.webtext import generate_queries
+from terrier_ray.datagen.webtext import generate_queries, url_doc_id
 from terrier_ray.index.build import build_index
 from terrier_ray.index.bm25 import BM25Index, BM25Scorer
 from terrier_ray.index.oracle import OracleBM25
@@ -223,6 +223,78 @@ def test_resume_rebuilds_missing_bucket(
     assert os.path.exists(victim)
     idx = BM25Index(out)
     for text in generate_queries(5).column("text").to_pylist():
+        assert idx.search(text, k=10) == oracle.search(text, k=10), text
+
+
+def test_equal_size_rewrite_rebuilds_corpus(ray_session, tmp_root):
+    """The corpus epoch's fingerprint carries each input file's mtime: an
+    uncompressed input rewritten in place with one doc's text changed to
+    an equal-length string keeps its size, and the next build must still
+    re-run the corpus epoch and serve the new text."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from terrier_ray.datagen.webtext import generate_webtext_parquet
+
+    web = generate_webtext_parquet(
+        os.path.join(str(tmp_root), "webtext_uncompressed"), num_docs=300, seed=11
+    )
+    part = sorted(glob.glob(os.path.join(web, "*.parquet")))[0]
+    tab = pq.read_table(part)
+    pq.write_table(tab, part, compression="none")
+    out = os.path.join(str(tmp_root), "index_equal_size")
+    kw = dict(num_buckets=4, num_salts=2)
+    build_index(web, out, **kw)
+
+    urls = tab.column("url").to_pylist()
+    texts = tab.column("text").to_pylist()
+    # a doc with its own url and pre-extracted text, neither the min nor
+    # the max text (its prefix is kept, so the footer stats keep their size)
+    i = next(j for j, t in enumerate(texts)
+             if t and len(t) > 40 and urls.count(urls[j]) == 1
+             and min(x for x in texts if x) < t < max(texts))
+    half = len(texts[i]) // 2
+    texts[i] = texts[i][:half] + (" zzqmarker" * len(texts[i]))[: len(texts[i]) - half]
+    size = os.path.getsize(part)
+    tab = tab.set_column(tab.column_names.index("text"), "text",
+                         pa.array(texts, type=pa.string()))
+    pq.write_table(tab, part, compression="none")
+    assert os.path.getsize(part) == size
+
+    stats = build_index(web, out, **kw)
+    assert "corpus_s" in stats["timings"]
+    oracle = OracleBM25(web)
+    idx = BM25Index(out)
+    got = idx.search("zzqmarker", 10)
+    assert got == oracle.search("zzqmarker", 10)
+    assert [d for d, _ in got] == [int(url_doc_id([urls[i]])[0])]
+
+
+def test_index_dir_relocates(ray_session, webtext_small, oracle, tmp_root):
+    """A built index records no absolute path (manifests hold paths
+    relative to the index dir or to their source, bucket_metrics.parquet
+    relative to the index dir), so a moved index resumes with every epoch
+    skipped and serves the oracle's rankings."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    out = os.path.join(str(tmp_root), "index_relocate")
+    kw = dict(num_buckets=4, num_salts=3, heavy_min_df=20)
+    build_index(webtext_small, out, **kw)
+    for m in glob.glob(os.path.join(out, "_manifest", "*.json")):
+        with open(m) as f:
+            assert out not in f.read(), m
+        with open(m) as f:
+            json.load(f)
+    cells = pq.read_table(os.path.join(out, "bucket_metrics.parquet")).to_pylist()
+    assert cells and not any(out in str(v) for row in cells for v in row.values())
+
+    moved = out + "_moved"
+    os.rename(out, moved)
+    assert build_index(webtext_small, moved, **kw)["timings"] == {}
+    idx = BM25Index(moved)
+    for text in generate_queries(10).column("text").to_pylist():
         assert idx.search(text, k=10) == oracle.search(text, k=10), text
 
 

@@ -363,6 +363,28 @@ def test_ivf_indexed_matches_inline(ray_session):
     assert inline.column("sim").to_pylist() == indexed.column("sim").to_pylist()
 
 
+def test_ivf_corrupt_manifest_rebuilds(ray_session, sf_smoke, tmp_root):
+    """A corrupt IVF manifest is a stale build: the next call rebuilds the
+    cells and commits a readable manifest instead of raising."""
+    import glob
+    import json
+    import os
+
+    from terrier_ray.pipelines.similarity import build_ivf_index
+
+    out = os.path.join(str(tmp_root), "ivf_corrupt")
+    build_ivf_index(sf_smoke, out, nlist=4, sample_rows=500)
+    manifest = os.path.join(out, "_manifest", "ivf.json")
+    with open(manifest, "w") as f:
+        f.write("{not json")
+    build_ivf_index(sf_smoke, out, nlist=4, sample_rows=500)
+    with open(manifest) as f:
+        outputs = json.load(f)["outputs"]
+    assert "centroids.npy" in outputs
+    assert all(os.path.exists(os.path.join(out, p)) for p in outputs)
+    assert glob.glob(os.path.join(out, "cell=*", "*.parquet"))
+
+
 def test_simhash_pairs_find_planted_dups(ray_session, tmp_root):
     import os
 
